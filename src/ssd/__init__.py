@@ -102,4 +102,4 @@ from .pipeline import (
 from .porter import stem
 from .preprocess import PreprocessConfig, TokenStream, default_config, normalize
 
-__version__ = "1.0.0"
+__version__ = "0.1.0"

@@ -32,10 +32,22 @@ CASCADE_FORMAT = "ssd-cascade-v1"
 
 @dataclass(frozen=True)
 class CascadeModel:
+    """Three fitted stages that share one lexicon set. The stages' lexicons
+    are checked against the recorded fingerprints once, at construction, so
+    prediction never re-hashes them."""
+
     stage1: FittedPipeline
     stage2: FittedPipeline
     stage3: FittedPipeline
     lexicon_fingerprints: dict
+
+    def __post_init__(self) -> None:
+        for i, stage in enumerate(self.stages(), start=1):
+            if stage.lexicon_fingerprints() != self.lexicon_fingerprints:
+                raise UsageError(
+                    f"stage {i} lexicons do not match the cascade's recorded "
+                    f"lexicon fingerprints"
+                )
 
     def stages(self) -> tuple[FittedPipeline, FittedPipeline, FittedPipeline]:
         return (self.stage1, self.stage2, self.stage3)
@@ -74,15 +86,6 @@ def train_cascade(
     return CascadeModel(stages[0], stages[1], stages[2], lex.fingerprints())
 
 
-def _check_fingerprints(m: CascadeModel) -> None:
-    for i, stage in enumerate(m.stages(), start=1):
-        if stage.lexicon_fingerprints() != m.lexicon_fingerprints:
-            raise UsageError(
-                f"stage {i} lexicons do not match the cascade's recorded "
-                f"lexicon fingerprints"
-            )
-
-
 @dataclass(frozen=True)
 class CascadePrediction:
     label: HierLabel
@@ -97,7 +100,6 @@ def cascade_predict_batch(
     """Predict hierarchical labels for a batch, gating stages by upstream
     verdicts. Probabilities are the chosen class's score at each reached
     stage; unreached stages report None."""
-    _check_fingerprints(m)
     n = len(texts)
     if n == 0:
         return []
@@ -190,11 +192,9 @@ def cascade_from_envelope(env: dict) -> CascadeModel:
             f"{env.get('format') if isinstance(env, dict) else type(env).__name__!r}"
         )
     stages = [pipeline_from_envelope(env["stages"][k]) for k in ("1", "2", "3")]
-    model = CascadeModel(
+    return CascadeModel(
         stages[0], stages[1], stages[2], dict(env["lexicon_fingerprints"])
     )
-    _check_fingerprints(model)
-    return model
 
 
 def save_cascade(m: CascadeModel, path: str) -> None:

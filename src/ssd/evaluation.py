@@ -42,6 +42,7 @@ from .pipeline import (
     load_lexicons,
     matrix_for_family,
     preprocess_config,
+    tfidf_settings,
 )
 from .preprocess import PreprocessConfig, default_config, normalize
 from .util import canonical_json, fingerprint, format_markdown_table, format_table
@@ -296,15 +297,14 @@ def _evaluate_fold(
 
     tfidf = None
     if "tfidf" in cfg.features:
-        tfidf = fit_tfidf(
-            tr_streams,
-            int(cfg.tfidf_params.get("min_df", 2)),
-            int(cfg.tfidf_params.get("max_features", 20000)),
-        )
+        tfidf = fit_tfidf(tr_streams, *tfidf_settings(cfg))
     scaler = None
     if cfg.scaling == "zscore":
         blocks = extract_dense_blocks(tr_streams, cfg.features, lex)
-        dense = np.hstack([b for _, b in blocks])
+        dense = (
+            np.hstack([b for _, b in blocks]) if blocks
+            else np.empty((len(tr_streams), 0))
+        )
         scaler = fit_feature_scaler(dense)
     fm_tr = _feature_matrix(tr_streams, cfg.features, lex, tfidf, cfg.scaling, scaler)
     fm_te = _feature_matrix(te_streams, cfg.features, lex, tfidf, cfg.scaling, scaler)

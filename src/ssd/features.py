@@ -12,7 +12,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 from scipy import sparse
@@ -51,11 +51,42 @@ DEFAULT_BOOSTERS = {
 # category dictionary (percent-delimited format)
 
 
+def _category_matcher(
+    categories: tuple[tuple[str, tuple[str, ...]], ...]
+) -> Callable[[str], tuple[int, ...]]:
+    """A token's category indexes, memoized with a bound, since a corpus
+    repeats its tokens."""
+    cats = tuple(
+        (
+            frozenset(p for p in pats if not p.endswith("*")),
+            tuple(p[:-1] for p in pats if p.endswith("*")),
+        )
+        for _, pats in categories
+    )
+
+    @lru_cache(maxsize=1 << 14)
+    def hits(tok: str) -> tuple[int, ...]:
+        return tuple(
+            i for i, (exact, prefixes) in enumerate(cats)
+            if tok in exact or tok.startswith(prefixes)
+        )
+
+    return hits
+
+
 @dataclass(frozen=True)
 class CategoryLexicon:
-    """Ordered categories of token patterns; `*` suffix means prefix match."""
+    """Ordered categories of token patterns; `*` suffix means prefix match.
+    The token matcher is built once, at construction, so scoring a text
+    never walks or hashes the whole dictionary."""
 
     categories: tuple[tuple[str, tuple[str, ...]], ...]
+    _hits: Callable[[str], tuple[int, ...]] = field(
+        init=False, repr=False, compare=False
+    )
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_hits", _category_matcher(self.categories))
 
     @property
     def names(self) -> tuple[str, ...]:
@@ -113,24 +144,12 @@ def load_category_lexicon(path: str) -> CategoryLexicon:
     )
 
 
-@lru_cache(maxsize=32)
-def _matchers(lex: CategoryLexicon):
-    exact, prefixes = [], []
-    for _, pats in lex.categories:
-        exact.append(frozenset(p for p in pats if not p.endswith("*")))
-        prefixes.append(tuple(p[:-1] for p in pats if p.endswith("*")))
-    return tuple(exact), tuple(prefixes)
-
-
 def liwc_features(ts: TokenStream, lex: CategoryLexicon) -> np.ndarray:
     """Word count followed by percent-of-tokens scores per category."""
-    exact, prefixes = _matchers(lex)
     n = len(ts.tokens)
-    counts = np.zeros(len(lex.categories))
-    for tok in ts.tokens:
-        for i in range(len(counts)):
-            if tok in exact[i] or any(tok.startswith(p) for p in prefixes[i]):
-                counts[i] += 1
+    counts = np.bincount(
+        [i for tok in ts.tokens for i in lex._hits(tok)], minlength=len(lex.categories)
+    )
     return np.concatenate(([float(n)], 100.0 * counts / max(1, n)))
 
 

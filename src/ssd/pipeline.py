@@ -119,25 +119,29 @@ class ExperimentConfig:
                 raise UsageError(
                     f"feature block {block!r} requires a {key!r} lexicon path"
                 )
-        unknown = set(self.tfidf_params) - {"min_df", "max_features"}
+        unknown = set(self.tfidf_params) - set(TFIDF_DEFAULTS)
         if unknown:
             raise UsageError(f"unknown tfidf keys: {sorted(unknown)}")
-        min_df = self.tfidf_params.get("min_df", 1)
-        if not (isinstance(min_df, int) and min_df >= 1):
-            raise UsageError(f"tfidf min_df must be >= 1, got {min_df!r}")
-        max_features = self.tfidf_params.get("max_features")
-        if max_features is not None and not (
-            isinstance(max_features, int) and max_features >= 1
-        ):
-            raise UsageError(
-                f"tfidf max_features must be None or >= 1, got {max_features!r}"
-            )
+        for key, default in TFIDF_DEFAULTS.items():
+            value = self.tfidf_params.get(key, default)
+            if not (isinstance(value, int) and value >= 1):
+                raise UsageError(f"tfidf {key} must be an integer >= 1, got {value!r}")
 
     def base_members(self) -> tuple[str, ...]:
         if self.ensemble_members is not None:
             return self.ensemble_members
         listed = tuple(m for m in self.models if m in BASE_FAMILIES)
         return listed or BASE_FAMILIES
+
+
+# what a TF-IDF fit applies for each setting the config leaves out
+TFIDF_DEFAULTS = {"min_df": 2, "max_features": 20000}
+
+
+def tfidf_settings(cfg: ExperimentConfig) -> tuple[int, int]:
+    """The (min_df, max_features) that fitting a vectorizer under cfg uses."""
+    params = {**TFIDF_DEFAULTS, **cfg.tfidf_params}
+    return int(params["min_df"]), int(params["max_features"])
 
 
 _CONFIG_KEYS = {
@@ -354,11 +358,7 @@ def fit_pipeline(
     streams = [normalize(t, pc) for t in texts]
     tfidf = None
     if "tfidf" in cfg.features:
-        tfidf = fit_tfidf(
-            streams,
-            int(cfg.tfidf_params.get("min_df", 2)),
-            int(cfg.tfidf_params.get("max_features", 20000)),
-        )
+        tfidf = fit_tfidf(streams, *tfidf_settings(cfg))
     scaler = None
     if cfg.scaling == "zscore":
         blocks = extract_dense_blocks(streams, cfg.features, lex)
@@ -389,9 +389,11 @@ def predict_pipeline(
     fm = pipeline_matrix(p, texts)
     family = getattr(getattr(p.model, "spec", None), "family", None)
     X = matrix_for_family(fm, family if family else "lr")
-    labels = M.predict(p.model, X)
     proba = M.predict_proba(p.model, X)
-    return labels, proba
+    if isinstance(p.model, M.VotingModel) and p.model.kind == "hard":
+        # hard-vote labels break vote ties by prior, not by column order
+        return M.predict(p.model, X), proba
+    return [p.model.classes[i] for i in np.argmax(proba, axis=1)], proba
 
 
 # ---------------------------------------------------------------------------

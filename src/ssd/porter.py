@@ -3,9 +3,13 @@
 Self-contained implementation of the original five-step algorithm,
 operating on lowercase ASCII words. Words of one or two letters are
 returned unchanged, matching the reference implementation's behavior.
+`stem` is memoized: a corpus repeats its words, and a word's stem never
+changes.
 """
 
 from __future__ import annotations
+
+from functools import lru_cache
 
 _VOWELS = frozenset("aeiou")
 
@@ -159,6 +163,7 @@ def _step5b(w: str) -> str:
     return w
 
 
+@lru_cache(maxsize=1 << 15)
 def stem(word: str) -> str:
     """Stem a single lowercase word; non-alphabetic input is returned as-is."""
     w = word.lower()

@@ -11,7 +11,9 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from functools import partial
 from importlib import resources
+from typing import Callable
 
 from .errors import DataError
 from .porter import stem as porter_stem
@@ -61,9 +63,34 @@ def load_tsv_map(path: str | None = None, *, bundled: str | None = None) -> dict
     return mapping
 
 
+def _unchanged(text: str) -> str:
+    return text
+
+
+def _emoji_replacer(emoji_map: dict[str, str]) -> Callable[[str], str]:
+    if not emoji_map:
+        return _unchanged
+    # longest symbol first so multi-codepoint sequences win over their prefixes
+    pattern = re.compile(
+        "|".join(re.escape(s) for s in sorted(emoji_map, key=len, reverse=True))
+    )
+    return partial(pattern.sub, lambda m: f" {emoji_map[m.group(0)]} ")
+
+
+def _abbrev_expander(abbrev_map: dict[str, str]) -> Callable[[str], str]:
+    if not abbrev_map:
+        return _unchanged
+    folded = {k.lower(): v for k, v in abbrev_map.items()}
+    alts = "|".join(re.escape(k) for k in sorted(folded, key=len, reverse=True))
+    # apostrophes count as word-internal, so "r" never fires inside "you're"
+    pattern = re.compile(rf"(?<![\w'’])(?:{alts})(?![\w'’])", re.IGNORECASE)
+    return partial(pattern.sub, lambda m: folded[m.group(0).lower()])
+
+
 @dataclass(frozen=True)
 class PreprocessConfig:
-    """Switches and resources for normalize(); immutable once built."""
+    """Switches and resources for normalize(); immutable once built. The
+    emoji and abbreviation patterns are compiled once, at construction."""
 
     lowercase: bool = True
     strip_punct: bool = True
@@ -72,6 +99,12 @@ class PreprocessConfig:
     emoji_map: dict[str, str] = field(default_factory=dict)
     abbrev_map: dict[str, str] = field(default_factory=dict)
     stopwords: frozenset[str] = frozenset()
+    _replace_emoji: Callable[[str], str] = field(init=False, repr=False, compare=False)
+    _expand_abbrev: Callable[[str], str] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_replace_emoji", _emoji_replacer(self.emoji_map))
+        object.__setattr__(self, "_expand_abbrev", _abbrev_expander(self.abbrev_map))
 
 
 @dataclass(frozen=True)
@@ -97,29 +130,10 @@ def default_config(**overrides) -> PreprocessConfig:
     return PreprocessConfig(**base)
 
 
-def _replace_emoji(text: str, emoji_map: dict[str, str]) -> str:
-    if not emoji_map:
-        return text
-    # longest symbol first so multi-codepoint sequences win over their prefixes
-    pattern = "|".join(re.escape(s) for s in sorted(emoji_map, key=len, reverse=True))
-    return re.sub(pattern, lambda m: f" {emoji_map[m.group(0)]} ", text)
-
-
-def _expand_abbrev(text: str, abbrev_map: dict[str, str]) -> str:
-    if not abbrev_map:
-        return text
-    folded = {k.lower(): v for k, v in abbrev_map.items()}
-    alts = "|".join(re.escape(k) for k in sorted(folded, key=len, reverse=True))
-    # apostrophes count as word-internal, so "r" never fires inside "you're"
-    pattern = re.compile(rf"(?<![\w'’])(?:{alts})(?![\w'’])", re.IGNORECASE)
-    return pattern.sub(lambda m: folded[m.group(0).lower()], text)
-
-
 def normalize(text: str, cfg: PreprocessConfig) -> TokenStream:
     """Run the full pipeline over one text; empty input yields an empty stream."""
     original_len = len(text)
-    text = _replace_emoji(text, cfg.emoji_map)
-    text = _expand_abbrev(text, cfg.abbrev_map)
+    text = cfg._expand_abbrev(cfg._replace_emoji(text))
     if cfg.lowercase:
         text = text.lower()
 

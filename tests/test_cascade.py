@@ -197,3 +197,39 @@ class TestSerialization:
     def test_envelope_format_tag(self, cascade_setup):
         env = cascade_to_envelope(cascade_setup["model"])
         assert env["format"] == "ssd-cascade-v1"
+
+
+class TestFingerprintsCheckedAtConstruction:
+    def test_stage_with_other_lexicons_rejected_by_replace(
+            self, cascade_setup, lexicon_files):
+        ds = cascade_setup["ds"]
+        cfg = hier_config(cascade_setup["tmp"], cascade_setup["data_path"],
+                          features=["liwc", "tfidf"],
+                          lexicons={"category": lexicon_files["category"]})
+        other = train_cascade(ds, cfg)
+        assert other.stage2.lexicon_fingerprints() != \
+            cascade_setup["model"].lexicon_fingerprints
+        with pytest.raises(UsageError, match="stage 2"):
+            dataclasses.replace(cascade_setup["model"], stage2=other.stage2)
+
+    def test_prediction_hashes_no_lexicons(self, cascade_setup, monkeypatch,
+                                           tmp_path):
+        from ssd.pipeline import LexiconSet
+
+        calls = []
+        original = LexiconSet.fingerprints
+
+        def counted(self):
+            calls.append(self)
+            return original(self)
+
+        monkeypatch.setattr(LexiconSet, "fingerprints", counted)
+        path = tmp_path / "cascade.json"
+        save_cascade(cascade_setup["model"], str(path))
+        model = load_cascade(str(path))
+        assert calls  # loading checks the fingerprints
+        calls.clear()
+        texts = make_support_corpus(40, seed=43, hierarchical=True).texts()
+        cascade_predict_batch(model, texts)
+        cascade_predict(model, texts[0])
+        assert calls == []

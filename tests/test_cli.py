@@ -1,6 +1,7 @@
 """End-to-end command-line runs through main(): outputs, files, exit codes."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -105,6 +106,24 @@ class TestCv:
         assert main(["cv", "--config", str(cfg)]) == 1
         assert "classifier" in capsys.readouterr().err
 
+
+    def test_null_tfidf_max_features_is_usage_error(self, workdir, capsys):
+        raw = json.loads(Path(workdir["config"]).read_text())
+        raw["tfidf"] = {"max_features": None}
+        cfg = workdir["tmp"] / "null.json"
+        cfg.write_text(json.dumps(raw))
+        assert main(["cv", "--config", str(cfg)]) == 1
+        assert "max_features" in capsys.readouterr().err
+
+    def test_zscore_with_tfidf_only(self, workdir, capsys):
+        raw = json.loads(Path(workdir["config"]).read_text())
+        raw["scaling"] = "zscore"
+        cfg = workdir["tmp"] / "zscore.json"
+        cfg.write_text(json.dumps(raw))
+        out_dir = workdir["tmp"] / "zout"
+        assert main(["cv", "--config", str(cfg), "--output-dir", str(out_dir)]) == 0
+        capsys.readouterr()
+        assert (out_dir / "report.json").exists()
 
 class TestTrainPredict:
     def test_round_trip(self, workdir, capsys):

@@ -27,6 +27,7 @@ from ssd.pipeline import (
     load_experiment_config,
     load_lexicons,
     preprocess_config,
+    tfidf_settings,
 )
 from ssd.preprocess import normalize
 from ssd.util import canonical_json, derive_rng
@@ -194,6 +195,25 @@ class TestConfig:
         with pytest.raises(UsageError):
             config_from_dict(self.base(**patch), str(tmp_path))
 
+    def test_tfidf_defaults_are_the_applied_ones(self, tmp_path):
+        cfg = config_from_dict(self.base(), str(tmp_path))
+        assert tfidf_settings(cfg) == (2, 20000)
+        cfg = config_from_dict(self.base(tfidf={"min_df": 1}), str(tmp_path))
+        assert tfidf_settings(cfg) == (1, 20000)
+        cfg = config_from_dict(self.base(tfidf={"max_features": 50}), str(tmp_path))
+        assert tfidf_settings(cfg) == (2, 50)
+
+    @pytest.mark.parametrize("tfidf", [
+        {"max_features": None},
+        {"min_df": None},
+        {"max_features": 0},
+        {"max_features": "100"},
+        {"min_df": 1.5},
+    ])
+    def test_tfidf_values_rejected_at_config_time(self, tmp_path, tfidf):
+        with pytest.raises(UsageError, match="tfidf"):
+            config_from_dict(self.base(tfidf=tfidf), str(tmp_path))
+
     def test_lexicon_feature_requires_path(self, tmp_path):
         with pytest.raises(UsageError, match="liwc"):
             config_from_dict(self.base(features=["liwc"]), str(tmp_path))
@@ -296,6 +316,15 @@ class TestCrossValidation:
         base = cv_setup["report"].to_json_dict()
         assert again.to_json_dict() == base
         assert parallel.to_json_dict() == base
+
+    def test_zscore_with_tfidf_only_runs_and_scales_nothing(self, cv_setup):
+        cfg = replace(cv_setup["cfg"], models=("lr", "soft_vote"))
+        scaled = cross_validate(replace(cfg, scaling="zscore"), cv_setup["ds"])
+        plain = cross_validate(cfg, cv_setup["ds"])
+        # the dense part is empty, so z-scoring leaves every fold unchanged
+        assert scaled.to_json_dict()["models"] == plain.to_json_dict()["models"]
+        for fp in scaled.fold_fingerprints:
+            assert "scaler" in fp
 
     def test_seed_changes_results(self, cv_setup):
         cfg = replace(cv_setup["cfg"], seed=4)

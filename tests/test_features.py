@@ -89,6 +89,36 @@ class TestCategoryLexicon:
         assert more[1] >= out[1] - 1e-12 or out[1] == 100.0
 
 
+    @settings(max_examples=80, deadline=None)
+    @given(st.lists(st.sampled_from(
+        ["talk", "talked", "friend", "friends", "fri", "love", "lovely", "cat", ""]),
+        max_size=25))
+    def test_memoized_hits_match_fresh_recompute(self, tokens):
+        lex = CategoryLexicon((
+            ("social", ("talk", "friend*")),
+            ("posemo", ("love*", "friend")),
+            ("empty", ()),
+            ("animal", ("cat", "ca*")),
+        ))
+
+        def fresh(stream):
+            # every token matched against every pattern, nothing remembered
+            counts = np.zeros(len(lex.categories))
+            for tok in stream.tokens:
+                for i, (_, pats) in enumerate(lex.categories):
+                    if any(tok == p or (p.endswith("*") and tok.startswith(p[:-1]))
+                           for p in pats):
+                        counts[i] += 1
+            n = len(stream.tokens)
+            return np.concatenate(([float(n)], 100.0 * counts / max(1, n)))
+
+        stream = ts(*tokens)
+        for _ in range(2):  # the second pass is served from the memo
+            out = liwc_features(stream, lex)
+            assert out.tobytes() == fresh(stream).tobytes()
+        assert lex._hits.cache_info().maxsize is not None
+
+
 class TestEmotionLexicon:
     def test_counts_multi_emotion(self, tmp_path):
         p = tmp_path / "e.tsv"

@@ -3,7 +3,7 @@
 from importlib import resources
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ssd.porter import stem
@@ -89,3 +89,25 @@ def test_stem_is_lowercase_ascii(word):
     out = stem(word)
     assert out == out.lower()
     assert out.isascii()
+
+
+# ---------------------------------------------------------------------------
+# memoized stem agrees with the uncached algorithm
+
+
+def test_memoized_stem_matches_uncached_on_sample():
+    for word, _ in SAMPLE:
+        expected = stem.__wrapped__(word)
+        assert stem(word) == expected
+        assert stem(word) == expected  # second call is served from the memo
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text(alphabet="abcdeilnorstuyzAEY'", max_size=14))
+def test_memoized_stem_matches_uncached_on_generated_words(word):
+    assert stem(word) == stem.__wrapped__(word)
+    assert stem(word) == stem.__wrapped__(word)
+
+
+def test_stem_memo_is_bounded():
+    assert stem.cache_info().maxsize is not None

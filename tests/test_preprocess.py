@@ -2,7 +2,7 @@
 stop-word removal, stemming."""
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ssd.errors import DataError
@@ -129,3 +129,76 @@ def test_normalize_total_and_deterministic(text):
 def test_tokens_are_lowercase(text):
     for token in normalize(text, default_config()).tokens:
         assert token == token.lower()
+
+
+# ---------------------------------------------------------------------------
+# compiled patterns: normalize agrees with rebuilding them on every call
+
+
+def _oracle_normalize(text, cfg):
+    """normalize() with the emoji and abbreviation patterns rebuilt from the
+    maps on every call and an unmemoized stemmer."""
+    import re
+
+    from ssd.porter import stem
+
+    original_len = len(text)
+    if cfg.emoji_map:
+        pattern = "|".join(
+            re.escape(s) for s in sorted(cfg.emoji_map, key=len, reverse=True))
+        text = re.sub(pattern, lambda m: f" {cfg.emoji_map[m.group(0)]} ", text)
+    if cfg.abbrev_map:
+        folded = {k.lower(): v for k, v in cfg.abbrev_map.items()}
+        alts = "|".join(re.escape(k) for k in sorted(folded, key=len, reverse=True))
+        text = re.compile(
+            rf"(?<![\w'’])(?:{alts})(?![\w'’])", re.IGNORECASE
+        ).sub(lambda m: folded[m.group(0).lower()], text)
+    if cfg.lowercase:
+        text = text.lower()
+    word = re.compile(r"[^\W_]+(?:['’][^\W_]+)*", re.UNICODE)
+    if cfg.strip_punct:
+        tokens = word.findall(text)
+    else:
+        tokens = []
+        for chunk in text.split():
+            pos = 0
+            for m in word.finditer(chunk):
+                if m.start() > pos:
+                    tokens.append(chunk[pos:m.start()])
+                tokens.append(m.group(0))
+                pos = m.end()
+            if pos < len(chunk):
+                tokens.append(chunk[pos:])
+    if cfg.remove_stopwords:
+        tokens = [t for t in tokens if t not in cfg.stopwords]
+    if cfg.stem:
+        tokens = [stem.__wrapped__(t) for t in tokens]
+    return tuple(tokens), original_len
+
+
+_BUNDLED = default_config()
+_CONFIGS = (_BUNDLED, default_config(strip_punct=False, lowercase=False))
+_PIECES = st.one_of(
+    st.sampled_from(sorted(_BUNDLED.emoji_map)),
+    st.sampled_from(sorted(_BUNDLED.abbrev_map)).flatmap(
+        lambda a: st.sampled_from([a, a.upper(), a.capitalize()])),
+    # "❤" is a prefix of the bundled "❤️", so the longer symbol must win
+    st.sampled_from([" ", "  ", "'", "’", "you're", "r", "u", "it’s", "❤️", "❤",
+                     "Running", "caresses", "!", "...", "_"]),
+    st.text(alphabet="abcrsuyE'’ 💪!", max_size=6),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(_PIECES, max_size=14).map("".join), st.sampled_from(_CONFIGS))
+def test_normalize_matches_per_call_pattern_oracle(text, cfg):
+    ts = normalize(text, cfg)
+    assert (ts.tokens, ts.original_length_chars) == _oracle_normalize(text, cfg)
+
+
+def test_patterns_follow_the_config_maps():
+    cfg = PreprocessConfig(emoji_map={"☺": "smile"}, abbrev_map={"GR8": "great"},
+                           remove_stopwords=False, stem=False)
+    assert normalize("gr8☺", cfg).tokens == ("great", "smile")
+    bare = PreprocessConfig(remove_stopwords=False, stem=False)
+    assert normalize("gr8☺", bare).tokens == ("gr8",)
