@@ -68,7 +68,6 @@ def _build_parser() -> _Parser:
     q.add_argument("--config", required=True, help="experiment config JSON")
     q.add_argument("--output-dir", help="override the config's output_dir")
     q.add_argument("--seed", type=int, help="override the config's seed")
-    q.add_argument("--jobs", type=int, default=1, help="concurrent folds")
 
     q = sub.add_parser("train",
                        help="fit one model on the full dataset and save it")
@@ -180,7 +179,7 @@ def _load_config(args):
 
 def _cmd_cv(args) -> int:
     cfg = _load_config(args)
-    report = ev.cross_validate(cfg, jobs=args.jobs)
+    report = ev.cross_validate(cfg)
     headers = ["model", "P(w)", "R(w)", "F1(w)", "P(m)", "R(m)", "F1(m)", "acc"]
     rows = []
     for name, result in report.models.items():

@@ -13,39 +13,37 @@ from __future__ import annotations
 import os
 import time
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from . import models as M
 from .corpus import Dataset, load_dataset, stage_view, stratified_kfold_labels
 from .errors import UsageError
 from .features import (
     EMOTIONS,
     SENTIMENT_NAMES,
     emotion_features,
-    fit_feature_scaler,
-    fit_tfidf,
     liwc_features,
     sentiment_scores,
 )
 from .pipeline import (
-    BASE_FAMILIES,
     ExperimentConfig,
     LexiconSet,
     _feature_matrix,
-    _train_family,
     class_order,
-    extract_dense_blocks,
+    fit_features,
+    fit_models,
     load_lexicons,
-    matrix_for_family,
     preprocess_config,
-    tfidf_settings,
+    score,
 )
 from .preprocess import PreprocessConfig, default_config, normalize
 from .util import canonical_json, fingerprint, format_markdown_table, format_table
+
+# unused here, but perfbench/spans.py wraps these names in this module
+from .features import fit_tfidf  # noqa: F401
+from .pipeline import extract_dense_blocks, matrix_for_family  # noqa: F401
 
 CV_REPORT_FORMAT = "ssd-cv-report-v1"
 
@@ -295,18 +293,7 @@ def _evaluate_fold(
     y_tr = [labels[i] for i in train_idx]
     y_te = [labels[i] for i in test_idx]
 
-    tfidf = None
-    if "tfidf" in cfg.features:
-        tfidf = fit_tfidf(tr_streams, *tfidf_settings(cfg))
-    scaler = None
-    if cfg.scaling == "zscore":
-        blocks = extract_dense_blocks(tr_streams, cfg.features, lex)
-        dense = (
-            np.hstack([b for _, b in blocks]) if blocks
-            else np.empty((len(tr_streams), 0))
-        )
-        scaler = fit_feature_scaler(dense)
-    fm_tr = _feature_matrix(tr_streams, cfg.features, lex, tfidf, cfg.scaling, scaler)
+    tfidf, scaler, fm_tr = fit_features(tr_streams, cfg, lex)
     fm_te = _feature_matrix(te_streams, cfg.features, lex, tfidf, cfg.scaling, scaler)
 
     fingerprints = {"train_size": len(train_idx), "test_size": len(test_idx)}
@@ -319,46 +306,19 @@ def _evaluate_fold(
             {"mean": list(scaler.mean), "std": list(scaler.std)}
         )
 
-    needed = set(m for m in cfg.models if m in BASE_FAMILIES)
-    if any(m not in BASE_FAMILIES for m in cfg.models):
-        needed.update(cfg.base_members())
-    trained: dict[str, object] = {}
     timing: dict[str, float] = {}
-    for family in sorted(needed):
-        t0 = time.perf_counter()
-        trained[family] = _train_family(
-            family,
-            matrix_for_family(fm_tr, family),
-            y_tr,
-            cfg,
-            classes,
-            ("fold", fold_index),
-        )
-        timing[f"train_{family}"] = time.perf_counter() - t0
-
+    trained = fit_models(fm_tr, y_tr, cfg, classes, ("fold", fold_index), timing)
     fold_results: dict[str, FoldResult] = {}
     for name in cfg.models:
         t0 = time.perf_counter()
-        if name in BASE_FAMILIES:
-            model = trained[name]
-            X = matrix_for_family(fm_te, name)
-        else:
-            members = [trained[m] for m in cfg.base_members()]
-            model = M.make_voting(name.split("_")[0], members)
-            dense_needed = any(
-                m.spec.family in ("svm_rbf", "dt", "rf") for m in members
-            )
-            X = matrix_for_family(fm_te, "dt" if dense_needed else "lr")
-        y_hat = M.predict(model, X)
+        y_hat, _ = score(trained[name], fm_te)
         cm = confusion_matrix(y_te, y_hat, classes)
         fold_results[name] = FoldResult(prf_scores(cm), cm)
         timing[f"score_{name}"] = time.perf_counter() - t0
     return fold_results, fingerprints, timing
 
 
-def cross_validate(
-    cfg: ExperimentConfig, dataset: Dataset | None = None, jobs: int = 1
-) -> CVReport:
+def cross_validate(cfg: ExperimentConfig, dataset: Dataset | None = None) -> CVReport:
     """Stratified k-fold evaluation of every configured model.
 
     All fitted state (vectorizer, scaler, models) comes from the training
@@ -373,16 +333,10 @@ def cross_validate(
     pc = preprocess_config(cfg)
     streams = [normalize(t, pc) for t in texts]
     folds = stratified_kfold_labels(labels, cfg.folds, cfg.seed)
-
-    def run(i):
-        tr, te = folds[i]
-        return _evaluate_fold(cfg, streams, labels, classes, lex, i, tr, te)
-
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            outcomes = list(pool.map(run, range(len(folds))))
-    else:
-        outcomes = [run(i) for i in range(len(folds))]
+    outcomes = [
+        _evaluate_fold(cfg, streams, labels, classes, lex, i, tr, te)
+        for i, (tr, te) in enumerate(folds)
+    ]
 
     models = {}
     for name in cfg.models:

@@ -118,14 +118,19 @@ class TrainedModel:
 
 def _as_matrix(X):
     if sparse.issparse(X):
-        return sparse.csr_matrix(X)
-    X = np.asarray(X, dtype=float)
-    if X.ndim != 2:
-        raise UsageError(f"feature matrix must be 2-D, got shape {X.shape}")
+        X = sparse.csr_matrix(X)
+        values = X.data
+    else:
+        X = values = np.asarray(X, dtype=float)
+        if X.ndim != 2:
+            raise UsageError(f"feature matrix must be 2-D, got shape {X.shape}")
+    if not np.isfinite(values).all():
+        raise DataError("feature matrix has NaN or infinite entries")
     return X
 
 
 def _ensure_dense(X, budget: int) -> np.ndarray:
+    X = _as_matrix(X)
     if sparse.issparse(X):
         if X.shape[0] * X.shape[1] > budget:
             raise DataError(
@@ -133,7 +138,7 @@ def _ensure_dense(X, budget: int) -> np.ndarray:
                 f"budget of {budget} elements"
             )
         return X.toarray()
-    return np.asarray(X, dtype=float)
+    return X
 
 
 def _resolve_classes(y: Sequence[str], classes: Sequence[str] | None):
@@ -628,12 +633,21 @@ def predict_proba(m, X) -> np.ndarray:
     raise UsageError(f"unknown model family {family!r}")
 
 
-def predict(m, X) -> list[str]:
-    """Argmax labels; exact ties resolve to the earlier fit-time class."""
+def labels_from_proba(m, proba: np.ndarray) -> list[str]:
+    """The labels `predict` gives for probabilities `predict_proba` gave.
+    Exact ties resolve to the earlier fit-time class; a hard vote's tied
+    shares resolve to the higher prior, then the earlier class."""
     if isinstance(m, VotingModel) and m.kind == "hard":
-        return _hard_vote_labels(m, X)
-    proba = predict_proba(m, X)
+        # shares are vote counts over one common total, so ties stay exact
+        order = sorted(range(len(m.classes)), key=lambda k: (-m.priors[k], k))
+        tied = proba[:, order] == proba.max(axis=1, keepdims=True)
+        return [m.classes[order[j]] for j in np.argmax(tied, axis=1)]
     return [m.classes[i] for i in np.argmax(proba, axis=1)]
+
+
+def predict(m, X) -> list[str]:
+    """Labels from one scoring pass; ties break as in `labels_from_proba`."""
+    return labels_from_proba(m, predict_proba(m, X))
 
 
 # ---------------------------------------------------------------------------
@@ -691,20 +705,6 @@ def _voting_proba(vm: VotingModel, X) -> np.ndarray:
         winners = np.argmax(proba, axis=1)
         votes[np.arange(n), winners] += 1
     return _normalize_rows(votes)
-
-
-def _hard_vote_labels(vm: VotingModel, X) -> list[str]:
-    member_preds = [predict(m, X) for m in vm.members]
-    out = []
-    for i in range(len(member_preds[0]) if member_preds else 0):
-        votes = np.zeros(len(vm.classes))
-        for preds in member_preds:
-            votes[vm.classes.index(preds[i])] += 1
-        top = votes.max()
-        tied = [k for k in range(len(vm.classes)) if votes[k] == top]
-        winner = max(tied, key=lambda k: (vm.priors[k], -k))
-        out.append(vm.classes[winner])
-    return out
 
 
 def soft_vote(models: Sequence, X) -> tuple[list[str], np.ndarray]:

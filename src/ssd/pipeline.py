@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import os
+import time
 from dataclasses import dataclass, field, replace
 from typing import Sequence
 
@@ -301,18 +302,24 @@ def _feature_matrix(
     return combine_features(blocks, scaling=scaling, fit_stats=scaler)
 
 
-def _train_family(family: str, X, y, cfg: ExperimentConfig, classes, fold_tag):
-    seed = derive_seed(cfg.seed, "model", family, *fold_tag)
-    hyper = dict(cfg.hyperparameters.get(family, {}))
-    spec = M.ModelSpec(family, hyper, seed)
-    trainer = {
-        "lr": M.train_lr,
-        "svm_linear": M.train_svm_linear,
-        "svm_rbf": M.train_svm_rbf,
-        "dt": M.train_dt,
-        "rf": M.train_rf,
-    }[family]
-    return trainer(X, y, spec, classes=classes)
+def fit_features(
+    streams: Sequence[TokenStream], cfg: ExperimentConfig, lex: LexiconSet
+) -> tuple[TfidfVectorizer | None, Scaler | None, FeatureMatrix]:
+    """Fit the vectorizer and scaler on training streams and return them
+    with the training matrix; each dense block is extracted once."""
+    tfidf = None
+    if "tfidf" in cfg.features:
+        tfidf = fit_tfidf(streams, *tfidf_settings(cfg))
+    blocks = extract_dense_blocks(streams, cfg.features, lex)
+    scaler = None
+    if cfg.scaling == "zscore":
+        dense = (
+            np.hstack([b for _, b in blocks]) if blocks else np.empty((len(streams), 0))
+        )
+        scaler = fit_feature_scaler(dense)
+    if tfidf is not None:
+        blocks.append(("tfidf", transform_tfidf_corpus(tfidf, streams)))
+    return tfidf, scaler, combine_features(blocks, scaling=cfg.scaling, fit_stats=scaler)
 
 
 def fit_models(
@@ -321,16 +328,26 @@ def fit_models(
     cfg: ExperimentConfig,
     classes: Sequence[str],
     fold_tag: tuple = (),
+    timing: dict | None = None,
 ) -> dict[str, object]:
-    """Train every configured model (voting ensembles reuse base fits)."""
+    """Train every configured model (voting ensembles reuse base fits).
+    When given, `timing` receives each base family's training seconds
+    under `train_<family>`."""
     needed = set(m for m in cfg.models if m in BASE_FAMILIES)
     if any(m in VOTE_KINDS for m in cfg.models):
         needed.update(cfg.base_members())
     base: dict[str, object] = {}
     for family in sorted(needed):
-        base[family] = _train_family(
-            family, matrix_for_family(fm, family), y, cfg, classes, fold_tag
+        t0 = time.perf_counter()
+        spec = M.ModelSpec(
+            family,
+            dict(cfg.hyperparameters.get(family, {})),
+            derive_seed(cfg.seed, "model", family, *fold_tag),
         )
+        trainer = getattr(M, f"train_{family}")
+        base[family] = trainer(matrix_for_family(fm, family), y, spec, classes=classes)
+        if timing is not None:
+            timing[f"train_{family}"] = time.perf_counter() - t0
     out: dict[str, object] = {}
     for name in cfg.models:
         if name in BASE_FAMILIES:
@@ -356,19 +373,12 @@ def fit_pipeline(
     lex = lexicons if lexicons is not None else load_lexicons(cfg)
     pc = pcfg if pcfg is not None else preprocess_config(cfg)
     streams = [normalize(t, pc) for t in texts]
-    tfidf = None
-    if "tfidf" in cfg.features:
-        tfidf = fit_tfidf(streams, *tfidf_settings(cfg))
-    scaler = None
-    if cfg.scaling == "zscore":
-        blocks = extract_dense_blocks(streams, cfg.features, lex)
-        dense = (
-            np.hstack([b for _, b in blocks]) if blocks else np.empty((len(streams), 0))
-        )
-        scaler = fit_feature_scaler(dense)
-    fm = _feature_matrix(streams, cfg.features, lex, tfidf, cfg.scaling, scaler)
+    tfidf, scaler, fm = fit_features(streams, cfg, lex)
     classes = class_order(labels, cfg.subtask)
-    single_cfg = replace(cfg, models=(model_name,))
+    # a voter keeps the base models the full config lists as its members
+    single_cfg = replace(
+        cfg, models=(model_name,), ensemble_members=cfg.base_members()
+    )
     model = fit_models(fm, labels, single_cfg, classes, fold_tag)[model_name]
     return FittedPipeline(
         cfg.subtask, pc, cfg.features, lex, tfidf, cfg.scaling, scaler, model,
@@ -383,17 +393,19 @@ def pipeline_matrix(p: FittedPipeline, texts: Sequence[str]) -> FeatureMatrix:
     )
 
 
+def score(model, fm: FeatureMatrix) -> tuple[list[str], np.ndarray]:
+    """Labels and probabilities of a trained model from one scoring pass.
+    A base model sees its family's layout; a voter sees the linear one,
+    and each member densifies it as needed."""
+    family = getattr(getattr(model, "spec", None), "family", None)
+    proba = M.predict_proba(model, matrix_for_family(fm, family or "lr"))
+    return M.labels_from_proba(model, proba), proba
+
+
 def predict_pipeline(
     p: FittedPipeline, texts: Sequence[str]
 ) -> tuple[list[str], np.ndarray]:
-    fm = pipeline_matrix(p, texts)
-    family = getattr(getattr(p.model, "spec", None), "family", None)
-    X = matrix_for_family(fm, family if family else "lr")
-    proba = M.predict_proba(p.model, X)
-    if isinstance(p.model, M.VotingModel) and p.model.kind == "hard":
-        # hard-vote labels break vote ties by prior, not by column order
-        return M.predict(p.model, X), proba
-    return [p.model.classes[i] for i in np.argmax(proba, axis=1)], proba
+    return score(p.model, pipeline_matrix(p, texts))
 
 
 # ---------------------------------------------------------------------------

@@ -309,13 +309,10 @@ class TestCrossValidation:
                 {"vocabulary": tfidf.vocabulary, "idf": list(tfidf.idf)})
             assert fp["tfidf"] == expect
 
-    def test_deterministic_and_parallel_equivalent(self, cv_setup):
+    def test_deterministic(self, cv_setup):
         cfg, ds = cv_setup["cfg"], cv_setup["ds"]
         again = cross_validate(cfg, ds)
-        parallel = cross_validate(cfg, ds, jobs=3)
-        base = cv_setup["report"].to_json_dict()
-        assert again.to_json_dict() == base
-        assert parallel.to_json_dict() == base
+        assert again.to_json_dict() == cv_setup["report"].to_json_dict()
 
     def test_zscore_with_tfidf_only_runs_and_scales_nothing(self, cv_setup):
         cfg = replace(cv_setup["cfg"], models=("lr", "soft_vote"))
@@ -330,6 +327,51 @@ class TestCrossValidation:
         cfg = replace(cv_setup["cfg"], seed=4)
         other = cross_validate(cfg, cv_setup["ds"])
         assert other.to_json_dict() != cv_setup["report"].to_json_dict()
+
+
+class TestOneFitPath:
+    def test_fold_scores_what_fit_pipeline_ships(self, lexicon_files, monkeypatch):
+        """A cv fold predicts, for every model, the labels that a pipeline
+        fitted on the fold's training texts predicts on its test texts."""
+        import ssd.evaluation as ev
+        from ssd.corpus import (
+            Dataset, DatasetItem, HierLabel, stage_view, stratified_kfold_labels,
+        )
+        from ssd.pipeline import fit_pipeline, predict_pipeline
+
+        # flipped labels make the members disagree, so a vote depends on
+        # which members it has
+        rng = derive_rng(31, "flip")
+        ds = Dataset(tuple(
+            DatasetItem(it.comment, HierLabel(
+                "NSS" if it.label.support == "SS" else "SS"))
+            if rng.random() < 0.3 else it
+            for it in make_support_corpus(100, seed=31).items
+        ))
+        cfg = config_from_dict({
+            "dataset": "d.csv", "subtask": 1,
+            "features": ["liwc", "emotion", "sentiment", "tfidf"],
+            "scaling": "zscore", "lexicons": lexicon_files, "seed": 6,
+            # a listed subset of base models: voters must vote over these
+            "models": ["lr", "svm_linear", "dt", "soft_vote", "hard_vote"],
+            "hyperparameters": {"svm_linear": {"epochs": 5}},
+        })
+        scored = []
+        original = ev.confusion_matrix
+        monkeypatch.setattr(ev, "confusion_matrix", lambda t, p, labels=None: (
+            scored.append(list(p)) or original(t, p, labels)))
+        cross_validate(cfg, ds)
+
+        view = stage_view(ds, 1)
+        texts, labels = view.texts(), view.labels(1)
+        train_idx, test_idx = stratified_kfold_labels(labels, cfg.folds, cfg.seed)[0]
+        lex = load_lexicons(cfg)
+        for name, fold0 in zip(cfg.models, scored):
+            p = fit_pipeline([texts[i] for i in train_idx],
+                             [labels[i] for i in train_idx], cfg,
+                             model_name=name, lexicons=lex, fold_tag=("fold", 0))
+            got, _ = predict_pipeline(p, [texts[i] for i in test_idx])
+            assert got == fold0, name
 
 
 class TestArtifacts:

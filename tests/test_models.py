@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from scipy import sparse
 
+from ssd import models as M
 from ssd.errors import DataError, FormatError, UsageError
 from ssd.models import (
     ModelSpec,
@@ -270,6 +271,76 @@ class TestVoting:
                       make_spec("lr", seed=0))
         with pytest.raises(UsageError):
             make_voting("soft", [m1, m2])
+
+
+class TestHardVoteLabels:
+    @staticmethod
+    def old_labels(vm, X):
+        """Hard-vote labels as a second pass over member labels computed them:
+        most votes, then the higher prior, then the earlier class."""
+        member_preds = [predict(m, X) for m in vm.members]
+        out = []
+        for i in range(X.shape[0]):
+            votes = np.zeros(len(vm.classes))
+            for preds in member_preds:
+                votes[vm.classes.index(preds[i])] += 1
+            tied = [k for k in range(len(vm.classes)) if votes[k] == votes.max()]
+            out.append(vm.classes[max(tied, key=lambda k: (vm.priors[k], -k))])
+        return out
+
+    def test_labels_keep_the_prior_tie_break(self, monkeypatch):
+        # noise labels over three classes with uneven priors: five members
+        # disagree often, so many rows tie two ways
+        rng = derive_rng(23, "ties")
+        X = rng.normal(size=(90, 3))
+        y = list(rng.choice(["a", "b", "c"], size=90, p=[0.2, 0.3, 0.5]))
+        vm = make_voting("hard", [
+            train_lr(X, y, make_spec("lr", seed=0)),
+            train_svm_linear(X, y, make_spec("svm_linear", seed=0, epochs=3)),
+            train_svm_rbf(X, y, make_spec("svm_rbf", seed=0)),
+            train_dt(X, y, make_spec("dt", seed=0, max_depth=3)),
+            train_rf(X, y, make_spec("rf", seed=1, n_trees=3)),
+        ])
+        shares = predict_proba(vm, X)
+        assert (np.sort(shares, axis=1)[:, -2] == shares.max(axis=1)).sum() >= 10
+        expected = self.old_labels(vm, X)
+        calls = []
+        original = M.predict_proba
+        monkeypatch.setattr(
+            M, "predict_proba",
+            lambda m, X: calls.append(type(m).__name__) or original(m, X))
+        assert predict(vm, X) == expected
+        assert calls.count("TrainedModel") == 5
+
+
+class TestNonFiniteInput:
+    HYPER = {"rf": {"n_trees": 3}, "svm_linear": {"epochs": 2}}
+
+    @staticmethod
+    def corrupt(X, bad, layout):
+        X = X.copy()
+        X[3, 1] = bad
+        return sparse.csr_matrix(X) if layout == "sparse" else X
+
+    @pytest.mark.parametrize("layout", ["dense", "sparse"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("family", sorted(TRAINERS))
+    def test_training_rejects(self, family, bad, layout):
+        X, y = blobs(n=20, seed=21)
+        spec = make_spec(family, seed=0, **self.HYPER.get(family, {}))
+        with pytest.raises(DataError, match="NaN or infinite"):
+            TRAINERS[family](self.corrupt(X, bad, layout), y, spec)
+
+    @pytest.mark.parametrize("layout", ["dense", "sparse"])
+    @pytest.mark.parametrize("bad", [np.nan, -np.inf])
+    @pytest.mark.parametrize("family", sorted(TRAINERS))
+    def test_prediction_rejects(self, family, bad, layout):
+        X, y = blobs(n=20, seed=22)
+        spec = make_spec(family, seed=0, **self.HYPER.get(family, {}))
+        model = TRAINERS[family](X, y, spec)
+        for score in (predict_proba, predict):
+            with pytest.raises(DataError, match="NaN or infinite"):
+                score(model, self.corrupt(X, bad, layout))
 
 
 class TestSerialization:
