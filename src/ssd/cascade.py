@@ -8,16 +8,14 @@ hierarchical invariants by construction.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, replace
 from typing import Sequence
 
 from .corpus import Dataset, HierLabel, stage_view
-from .errors import DataError, FormatError, UsageError
+from .errors import DataError, UsageError
 from .pipeline import (
     ExperimentConfig,
     FittedPipeline,
-    LexiconSet,
     fit_pipeline,
     load_lexicons,
     pipeline_from_envelope,
@@ -25,7 +23,7 @@ from .pipeline import (
     predict_pipeline,
     preprocess_config,
 )
-from .util import canonical_json
+from .util import check_envelope, read_envelope, write_envelope
 
 CASCADE_FORMAT = "ssd-cascade-v1"
 
@@ -186,11 +184,7 @@ def cascade_to_envelope(m: CascadeModel) -> dict:
 
 
 def cascade_from_envelope(env: dict) -> CascadeModel:
-    if not isinstance(env, dict) or env.get("format") != CASCADE_FORMAT:
-        raise FormatError(
-            f"expected a {CASCADE_FORMAT} cascade file, got format "
-            f"{env.get('format') if isinstance(env, dict) else type(env).__name__!r}"
-        )
+    check_envelope(env, CASCADE_FORMAT, "cascade")
     stages = [pipeline_from_envelope(env["stages"][k]) for k in ("1", "2", "3")]
     return CascadeModel(
         stages[0], stages[1], stages[2], dict(env["lexicon_fingerprints"])
@@ -198,18 +192,8 @@ def cascade_from_envelope(env: dict) -> CascadeModel:
 
 
 def save_cascade(m: CascadeModel, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(canonical_json(cascade_to_envelope(m)) + "\n")
+    write_envelope(path, cascade_to_envelope(m))
 
 
 def load_cascade(path: str) -> CascadeModel:
-    try:
-        fh = open(path, encoding="utf-8")
-    except FileNotFoundError:
-        raise DataError(f"cascade file not found: {path}") from None
-    with fh:
-        try:
-            env = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise FormatError(f"{path}: not valid JSON: {exc}") from None
-    return cascade_from_envelope(env)
+    return cascade_from_envelope(read_envelope(path, "cascade"))

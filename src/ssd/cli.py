@@ -30,7 +30,7 @@ from .pipeline import (
     save_pipeline,
 )
 from .preprocess import default_config
-from .util import canonical_json, format_table
+from .util import canonical_json, format_table, open_input
 
 
 class _Parser(argparse.ArgumentParser):
@@ -214,11 +214,7 @@ def _cmd_train(args) -> int:
 
 def _read_texts_csv(path: str) -> tuple[list[str], list[str]]:
     """Accepts either the dataset CSV layout or a plain id,text CSV."""
-    try:
-        fh = open(path, encoding="utf-8", newline="")
-    except FileNotFoundError:
-        raise DataError(f"input file not found: {path}") from None
-    with fh:
+    with open_input(path, "input", newline="") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
@@ -269,11 +265,8 @@ def _cmd_cascade_train(args) -> int:
 
 def _cmd_cascade_predict(args) -> int:
     model = casc.load_cascade(args.model)
-    try:
-        with open(args.input, encoding="utf-8") as fh:
-            texts = [line.rstrip("\n") for line in fh]
-    except FileNotFoundError:
-        raise DataError(f"input file not found: {args.input}") from None
+    with open_input(args.input, "input") as fh:
+        texts = [line.rstrip("\n") for line in fh]
     texts = [t for t in texts if t.strip()]
     preds = casc.cascade_predict_batch(model, texts)
     _write_or_print(casc.predictions_csv(preds), args.out)
@@ -313,13 +306,8 @@ def _cmd_fetch(args) -> int:
     if args.videos:
         video_ids += [v.strip() for v in args.videos.split(",") if v.strip()]
     if args.videos_file:
-        try:
-            with open(args.videos_file, encoding="utf-8") as fh:
-                video_ids += [ln.strip() for ln in fh if ln.strip()]
-        except FileNotFoundError:
-            raise DataError(
-                f"videos file not found: {args.videos_file}"
-            ) from None
+        with open_input(args.videos_file, "videos") as fh:
+            video_ids += [ln.strip() for ln in fh if ln.strip()]
     if not video_ids:
         raise UsageError("no video ids given: use --videos or --videos-file")
 

@@ -12,12 +12,11 @@ from __future__ import annotations
 import csv
 import io
 import json
-import os
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .errors import DataError
-from .util import derive_rng, format_table
+from .util import derive_rng, format_table, open_input
 
 SUPPORT_LABELS = ("SS", "NSS")
 TARGET_LABELS = ("Individual", "Group")
@@ -153,11 +152,9 @@ def _items_from_rows(
 
 def load_dataset(path: str, require_complete: bool = False) -> Dataset:
     """Load a labeled (or partially labeled) dataset from CSV or JSON Lines."""
-    if not os.path.exists(path):
-        raise DataError(f"dataset file not found: {path}")
     if str(path).endswith(".jsonl"):
         return _load_jsonl(path, require_complete)
-    with open(path, encoding="utf-8", newline="") as fh:
+    with open_input(path, "dataset", newline="") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
@@ -187,7 +184,7 @@ def load_dataset(path: str, require_complete: bool = False) -> Dataset:
 
 def _load_jsonl(path: str, require_complete: bool) -> Dataset:
     rows = []
-    with open(path, encoding="utf-8") as fh:
+    with open_input(path, "dataset") as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
                 continue

@@ -20,18 +20,13 @@ import numpy as np
 
 from .corpus import Dataset, load_dataset, stage_view, stratified_kfold_labels
 from .errors import UsageError
-from .features import (
-    EMOTIONS,
-    SENTIMENT_NAMES,
-    emotion_features,
-    liwc_features,
-    sentiment_scores,
-)
+from .features import EMOTIONS, SENTIMENT_NAMES
 from .pipeline import (
     ExperimentConfig,
     LexiconSet,
     _feature_matrix,
     class_order,
+    extract_dense_blocks,
     fit_features,
     fit_models,
     load_lexicons,
@@ -43,7 +38,7 @@ from .util import canonical_json, fingerprint, format_markdown_table, format_tab
 
 # unused here, but perfbench/spans.py wraps these names in this module
 from .features import fit_tfidf  # noqa: F401
-from .pipeline import extract_dense_blocks, matrix_for_family  # noqa: F401
+from .pipeline import matrix_for_family  # noqa: F401
 
 CV_REPORT_FORMAT = "ssd-cv-report-v1"
 
@@ -515,24 +510,16 @@ def profile_features(
     streams = [normalize(t, pc) for t in view.texts()]
     groups = {c: [i for i, y in enumerate(labels) if y == c] for c in classes}
 
-    blocks: dict[str, tuple[tuple[str, ...], np.ndarray]] = {}
+    lex = {"liwc": lexicons.category, "emotion": lexicons.emotion,
+           "sentiment": lexicons.valence}
+    names = {"emotion": EMOTIONS, "sentiment": SENTIMENT_NAMES}
     if lexicons.category is not None:
-        names = ("WC",) + lexicons.category.names
-        rows = np.vstack([liwc_features(ts, lexicons.category) for ts in streams])
-        blocks["liwc"] = (names, np.vstack([rows[groups[c]].mean(axis=0) for c in classes]))
-    if lexicons.emotion is not None:
-        rows = np.vstack(
-            [emotion_features(ts, lexicons.emotion).astype(float) for ts in streams]
-        )
-        blocks["emotion"] = (
-            EMOTIONS, np.vstack([rows[groups[c]].mean(axis=0) for c in classes])
-        )
-    if lexicons.valence is not None:
-        rows = np.array([sentiment_scores(ts, lexicons.valence) for ts in streams])
-        blocks["sentiment"] = (
-            SENTIMENT_NAMES,
-            np.vstack([rows[groups[c]].mean(axis=0) for c in classes]),
-        )
+        names["liwc"] = ("WC",) + lexicons.category.names
+    present = [block for block, lx in lex.items() if lx is not None]
+    blocks = {
+        block: (names[block], np.vstack([rows[groups[c]].mean(axis=0) for c in classes]))
+        for block, rows in extract_dense_blocks(streams, present, lexicons)
+    }
     return ProfileReport(
         subtask=subtask,
         labels=classes,

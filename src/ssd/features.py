@@ -19,6 +19,7 @@ from scipy import sparse
 
 from .errors import DataError, FormatError, UsageError
 from .preprocess import TokenStream
+from .util import open_input
 
 EMOTIONS = (
     "anger", "anticipation", "disgust", "fear",
@@ -96,7 +97,7 @@ class CategoryLexicon:
 def load_category_lexicon(path: str) -> CategoryLexicon:
     """Parse a dictionary file: %-delimited id<TAB>name header, then
     word<TAB>id... entries."""
-    with open(path, encoding="utf-8") as fh:
+    with open_input(path, "category lexicon") as fh:
         lines = fh.read().splitlines()
 
     delims = [i for i, ln in enumerate(lines) if ln.strip() == "%"]
@@ -166,7 +167,7 @@ def load_emotion_lexicon(path: str) -> EmotionLexicon:
     """Parse word<TAB>emotion<TAB>0|1 lines; rows outside the eight tracked
     emotions (e.g. polarity rows in association files) are skipped."""
     assoc: dict[str, set[str]] = {}
-    with open(path, encoding="utf-8") as fh:
+    with open_input(path, "emotion lexicon") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.rstrip("\n")
             if not line.strip():
@@ -222,7 +223,7 @@ def load_valence_lexicon(
     """word<TAB>valence entries; negators one per line; boosters one per
     line with an optional <TAB>increment (default 0.293)."""
     entries: dict[str, float] = {}
-    with open(path, encoding="utf-8") as fh:
+    with open_input(path, "valence lexicon") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.rstrip("\n")
             if not line.strip():
@@ -238,13 +239,13 @@ def load_valence_lexicon(
 
     negators = DEFAULT_NEGATORS
     if negators_path:
-        with open(negators_path, encoding="utf-8") as fh:
+        with open_input(negators_path, "negators") as fh:
             negators = frozenset(w.strip() for w in fh if w.strip())
 
     boosters = dict(DEFAULT_BOOSTERS)
     if boosters_path:
         boosters = {}
-        with open(boosters_path, encoding="utf-8") as fh:
+        with open_input(boosters_path, "boosters") as fh:
             for lineno, line in enumerate(fh, start=1):
                 line = line.strip()
                 if not line:
@@ -388,15 +389,6 @@ class FeatureMatrix:
     @property
     def n_rows(self) -> int:
         return self.dense.shape[0]
-
-    @property
-    def width(self) -> int:
-        return self.dense.shape[1] + (self.tfidf.shape[1] if self.tfidf is not None else 0)
-
-    def to_dense(self) -> np.ndarray:
-        if self.tfidf is None:
-            return self.dense
-        return np.hstack([self.dense, self.tfidf.toarray()])
 
 
 def combine_features(

@@ -28,7 +28,7 @@ from .errors import (
     UsageError,
 )
 from .preprocess import _WORD_RE, load_stopwords
-from .util import derive_rng
+from .util import derive_rng, open_input
 
 API_URL = "https://www.googleapis.com/youtube/v3/commentThreads"
 API_KEY_ENV = "SSD_YOUTUBE_API_KEY"
@@ -325,7 +325,7 @@ def dedup_and_filter(
 def load_synonyms(path: str) -> tuple[str, ...]:
     """One lowercase keyword phrase per line; blanks and # comments skipped."""
     phrases = []
-    with open(path, encoding="utf-8") as fh:
+    with open_input(path, "synonyms") as fh:
         for lineno, line in enumerate(fh, start=1):
             phrase = line.strip()
             if not phrase or phrase.startswith("#"):

@@ -5,13 +5,23 @@ with a backtracking step size, so the recorded loss trace never increases),
 one-vs-rest linear SVM (Pegasos subgradient schedule), one-vs-rest RBF
 kernel SVM (simplified sequential minimal optimization), a CART decision
 tree, and a bagged random forest. Soft and hard voting combine trained
-models. Sparse feature matrices are accepted natively by the linear
-families; kernel and tree families densify within a configurable budget.
+models.
+
+This module alone decides what a model sees. Every trainer and
+`predict_proba` take any finite 2-D matrix, sparse or dense, through one
+input step. The linear families (lr, svm_linear) work on it in the form
+they are given: CSR rows for sparse input, dense rows for dense input.
+svm_rbf, dt and rf work on a dense array, made within their
+`densify_budget` (100 000 000 elements by default), or a `DataError`; their
+output depends on the values of the input, not on its storage. lr,
+svm_linear and svm_rbf share one one-vs-rest loop; a decision tree is the
+one-tree, no-bootstrap case of the forest trainer.
 """
 
 from __future__ import annotations
 
 import base64
+import json
 import warnings
 from dataclasses import dataclass
 from typing import Sequence
@@ -20,10 +30,20 @@ import numpy as np
 from scipy import sparse
 from scipy.special import expit
 
-from .errors import DataError, FormatError, UsageError
-from .util import canonical_json, derive_rng
+from .errors import DataError, UsageError
+from .util import (
+    canonical_json,
+    check_envelope,
+    derive_rng,
+    read_envelope,
+    write_envelope,
+)
 
 MODEL_FORMAT = "ssd-model-v1"
+
+# rows x columns a dense family may densify: 800 MB of float64, enough for
+# the paper's setting of ~10k comments with up to ~10k TF-IDF columns
+_DENSIFY_BUDGET = 100_000_000
 
 _HYPER_DEFAULTS: dict[str, dict] = {
     "lr": {"C": 1.0, "learning_rate": 0.1, "max_iter": 1000, "tol": 1e-6},
@@ -33,19 +53,19 @@ _HYPER_DEFAULTS: dict[str, dict] = {
         "gamma": "scale",
         "tol": 1e-3,
         "max_passes": 10,
-        "densify_budget": 20_000_000,
+        "densify_budget": _DENSIFY_BUDGET,
     },
     "dt": {
         "max_depth": None,
         "min_samples_split": 2,
         "max_features": None,
-        "densify_budget": 20_000_000,
+        "densify_budget": _DENSIFY_BUDGET,
     },
     "rf": {
         "n_trees": 100,
         "bootstrap": True,
         "max_features": "sqrt",
-        "densify_budget": 20_000_000,
+        "densify_budget": _DENSIFY_BUDGET,
     },
 }
 
@@ -113,10 +133,18 @@ class TrainedModel:
 
 
 # ---------------------------------------------------------------------------
-# shared helpers
+# the model-input contract and the trainer preamble
+
+# families that work on dense arrays only
+_DENSE_FAMILIES = ("svm_rbf", "dt", "rf")
 
 
-def _as_matrix(X):
+def _model_input(X, spec: ModelSpec, n_features: int | None = None):
+    """The matrix a model of spec's family sees: finite values, in CSR or
+    dense form as given for the linear families, and as a dense array,
+    densified within `densify_budget`, for the others. A prediction
+    passes the fitted width, which is checked before anything is
+    densified."""
     if sparse.issparse(X):
         X = sparse.csr_matrix(X)
         values = X.data
@@ -126,18 +154,19 @@ def _as_matrix(X):
             raise UsageError(f"feature matrix must be 2-D, got shape {X.shape}")
     if not np.isfinite(values).all():
         raise DataError("feature matrix has NaN or infinite entries")
-    return X
-
-
-def _ensure_dense(X, budget: int) -> np.ndarray:
-    X = _as_matrix(X)
-    if sparse.issparse(X):
+    if n_features is not None and X.shape[1] != n_features:
+        raise UsageError(
+            f"feature layout mismatch: model fitted on {n_features} columns, "
+            f"input has {X.shape[1]}"
+        )
+    if spec.family in _DENSE_FAMILIES and sparse.issparse(X):
+        budget = spec.hyper("densify_budget")
         if X.shape[0] * X.shape[1] > budget:
             raise DataError(
                 f"densifying a {X.shape[0]}x{X.shape[1]} matrix exceeds the "
-                f"budget of {budget} elements"
+                f"{spec.family} densify_budget of {budget} elements"
             )
-        return X.toarray()
+        X = X.toarray()
     return X
 
 
@@ -155,20 +184,50 @@ def _resolve_classes(y: Sequence[str], classes: Sequence[str] | None):
             raise DataError(f"labels outside the declared class list: {sorted(extra)}")
         absent = [c for c in classes if c not in observed]
         if absent:
+            # _resolve_classes < _train < train_<family> < its caller
             warnings.warn(
                 f"classes absent from training data score zero probability: {absent}",
-                stacklevel=3,
+                stacklevel=4,
             )
     counts = np.array([sum(1 for v in y if v == c) for c in classes], dtype=float)
     return y, classes, counts / len(y)
 
 
-def _check_layout(m: TrainedModel, X) -> None:
-    if X.shape[1] != m.n_features:
-        raise UsageError(
-            f"feature layout mismatch: model fitted on {m.n_features} columns, "
-            f"input has {X.shape[1]}"
-        )
+def _train(fit_state, X, y, spec: ModelSpec, classes) -> TrainedModel:
+    """What every trainer does around its family's fit: take the input
+    step, resolve the classes, check the sample count, and wrap the
+    state that `fit_state(X, y, classes, spec)` returns."""
+    X = _model_input(X, spec)
+    y, classes, priors = _resolve_classes(y, classes)
+    if len(y) != X.shape[0]:
+        raise UsageError("X and y disagree on sample count")
+    return TrainedModel(spec, classes, priors, X.shape[1], fit_state(X, y, classes, spec))
+
+
+def _one_vs_rest(y, classes, spec: ModelSpec, negative: float, fit_binary):
+    """One binary machine per class: `fit_binary(targets, rng)` gets
+    targets 1 for the class and `negative` for the rest, and the class's
+    own RNG stream (family, class). A class absent from y gets None.
+    Returns the machines and the present-class mask."""
+    present = np.array([c in y for c in classes], dtype=bool)
+    machines = []
+    for cls, here in zip(classes, present):
+        targets = np.array([1.0 if v == cls else negative for v in y])
+        rng = derive_rng(spec.seed, spec.family, cls)
+        machines.append(fit_binary(targets, rng) if here else None)
+    return machines, present
+
+
+def _linear_state(machines, present, n_features: int, traces_key: str) -> dict:
+    """Stack (w, b, trace) machines into one weight matrix; an absent
+    class keeps zero weights and an empty trace."""
+    W = np.zeros((len(machines), n_features))
+    b = np.zeros(len(machines))
+    for k, machine in enumerate(machines):
+        if machine is not None:
+            W[k], b[k] = machine[0], machine[1]
+    traces = [machine[2] if machine is not None else [] for machine in machines]
+    return {"W": W, "b": b, "present": present, traces_key: traces}
 
 
 def _normalize_rows(scores: np.ndarray) -> np.ndarray:
@@ -216,32 +275,27 @@ def _fit_binary_lr(X, targets, C, learning_rate, max_iter, tol):
     return w, b, trace
 
 
+LR_CAPPED_WARNING = (
+    "logistic regression stopped at max_iter before its loss improvement "
+    "fell below tol; raise max_iter or tol"
+)
+
+
+def _lr_state(X, y, classes, spec: ModelSpec) -> dict:
+    max_iter = spec.hyper("max_iter")
+    hyper = (spec.hyper("C"), spec.hyper("learning_rate"), max_iter, spec.hyper("tol"))
+    machines, present = _one_vs_rest(
+        y, classes, spec, 0.0, lambda targets, rng: _fit_binary_lr(X, targets, *hyper)
+    )
+    # a trace holds the starting loss plus one loss per iteration
+    if any(m is not None and len(m[2]) - 1 >= max_iter for m in machines):
+        # _lr_state < _train < train_lr < its caller
+        warnings.warn(LR_CAPPED_WARNING, stacklevel=4)
+    return _linear_state(machines, present, X.shape[1], "loss_traces")
+
+
 def train_lr(X, y, spec: ModelSpec, classes: Sequence[str] | None = None) -> TrainedModel:
-    X = _as_matrix(X)
-    y, classes, priors = _resolve_classes(y, classes)
-    if len(y) != X.shape[0]:
-        raise UsageError("X and y disagree on sample count")
-    W = np.zeros((len(classes), X.shape[1]))
-    b = np.zeros(len(classes))
-    present = np.zeros(len(classes), dtype=bool)
-    traces = []
-    for k, cls in enumerate(classes):
-        targets = np.array([1.0 if v == cls else 0.0 for v in y])
-        if not targets.any():
-            traces.append([])
-            continue
-        present[k] = True
-        W[k], b[k], trace = _fit_binary_lr(
-            X,
-            targets,
-            spec.hyper("C"),
-            spec.hyper("learning_rate"),
-            spec.hyper("max_iter"),
-            spec.hyper("tol"),
-        )
-        traces.append(trace)
-    state = {"W": W, "b": b, "present": present, "loss_traces": traces}
-    return TrainedModel(spec, classes, priors, X.shape[1], state)
+    return _train(_lr_state, X, y, spec, classes)
 
 
 # ---------------------------------------------------------------------------
@@ -262,6 +316,7 @@ def _fit_binary_pegasos(X, targets, lam, epochs, rng):
     is_sparse = sparse.issparse(X)
     if is_sparse:
         Xa = sparse.hstack([X, np.ones((n, 1))], format="csr")
+        indptr, indices, data = Xa.indptr, Xa.indices, Xa.data
     else:
         Xa = np.hstack([X, np.ones((n, 1))])
     w = np.zeros(Xa.shape[1])
@@ -276,15 +331,18 @@ def _fit_binary_pegasos(X, targets, lam, epochs, rng):
         for i in order:
             t += 1
             eta = 1.0 / (lam * t)
-            row = Xa[i]
-            # sparse rows give a length-1 array; .item() covers both layouts
-            margin = (row @ w).item()
+            if is_sparse:
+                cols = indices[indptr[i]:indptr[i + 1]]
+                vals = data[indptr[i]:indptr[i + 1]]
+                # summed left to right in stored order, as a CSR row product
+                # sums, without building a one-row matrix per step
+                margin = float(np.cumsum(vals * w[cols])[-1])
+            else:
+                cols, vals = slice(None), Xa[i]
+                margin = float(vals @ w)
             w *= 1.0 - eta * lam
             if targets[i] * margin < 1.0:
-                if is_sparse:
-                    w[row.indices] += eta * targets[i] * row.data
-                else:
-                    w += eta * targets[i] * row
+                w[cols] += eta * targets[i] * vals
             epoch_w += w
         avg_w = epoch_w / n
         objective_trace.append(
@@ -293,30 +351,19 @@ def _fit_binary_pegasos(X, targets, lam, epochs, rng):
     return avg_w[:-1], float(avg_w[-1]), objective_trace
 
 
+def _svm_linear_state(X, y, classes, spec: ModelSpec) -> dict:
+    lam, epochs = spec.hyper("lam"), spec.hyper("epochs")
+    machines, present = _one_vs_rest(
+        y, classes, spec, -1.0,
+        lambda targets, rng: _fit_binary_pegasos(X, targets, lam, epochs, rng),
+    )
+    return _linear_state(machines, present, X.shape[1], "objective_traces")
+
+
 def train_svm_linear(
     X, y, spec: ModelSpec, classes: Sequence[str] | None = None
 ) -> TrainedModel:
-    X = _as_matrix(X)
-    y, classes, priors = _resolve_classes(y, classes)
-    if len(y) != X.shape[0]:
-        raise UsageError("X and y disagree on sample count")
-    W = np.zeros((len(classes), X.shape[1]))
-    b = np.zeros(len(classes))
-    present = np.zeros(len(classes), dtype=bool)
-    traces = []
-    for k, cls in enumerate(classes):
-        targets = np.array([1.0 if v == cls else -1.0 for v in y])
-        if not (targets > 0).any():
-            traces.append([])
-            continue
-        present[k] = True
-        rng = derive_rng(spec.seed, "svm_linear", cls)
-        W[k], b[k], trace = _fit_binary_pegasos(
-            X, targets, spec.hyper("lam"), spec.hyper("epochs"), rng
-        )
-        traces.append(trace)
-    state = {"W": W, "b": b, "present": present, "objective_traces": traces}
-    return TrainedModel(spec, classes, priors, X.shape[1], state)
+    return _train(_svm_linear_state, X, y, spec, classes)
 
 
 # ---------------------------------------------------------------------------
@@ -399,39 +446,29 @@ def _fit_binary_smo(K, targets, C, tol, max_passes, rng):
     return alphas, b
 
 
+def _svm_rbf_state(X, y, classes, spec: ModelSpec) -> dict:
+    gamma = resolve_gamma(spec.hyper("gamma"), X)
+    K = _rbf_kernel(X, X, gamma)
+    C, tol, max_passes = spec.hyper("C"), spec.hyper("tol"), spec.hyper("max_passes")
+
+    def fit_binary(targets, rng):
+        alphas, b = _fit_binary_smo(K, targets, C, tol, max_passes, rng)
+        keep = alphas > 0
+        return {
+            "alphas": alphas[keep] * targets[keep],
+            "sv": X[keep],
+            "b": b,
+            "all_alphas": alphas,
+        }
+
+    machines, present = _one_vs_rest(y, classes, spec, -1.0, fit_binary)
+    return {"machines": machines, "gamma": gamma, "present": present}
+
+
 def train_svm_rbf(
     X, y, spec: ModelSpec, classes: Sequence[str] | None = None
 ) -> TrainedModel:
-    X = _ensure_dense(X, spec.hyper("densify_budget"))
-    y, classes, priors = _resolve_classes(y, classes)
-    if len(y) != X.shape[0]:
-        raise UsageError("X and y disagree on sample count")
-    gamma = resolve_gamma(spec.hyper("gamma"), X)
-    K = _rbf_kernel(X, X, gamma)
-    C = spec.hyper("C")
-    machines = []
-    present = np.zeros(len(classes), dtype=bool)
-    for k, cls in enumerate(classes):
-        targets = np.array([1.0 if v == cls else -1.0 for v in y])
-        if not (targets > 0).any():
-            machines.append(None)
-            continue
-        present[k] = True
-        rng = derive_rng(spec.seed, "svm_rbf", cls)
-        alphas, b = _fit_binary_smo(
-            K, targets, C, spec.hyper("tol"), spec.hyper("max_passes"), rng
-        )
-        keep = alphas > 0
-        machines.append(
-            {
-                "alphas": alphas[keep] * targets[keep],
-                "sv": X[keep],
-                "b": b,
-                "all_alphas": alphas,
-            }
-        )
-    state = {"machines": machines, "gamma": gamma, "present": present}
-    return TrainedModel(spec, classes, priors, X.shape[1], state)
+    return _train(_svm_rbf_state, X, y, spec, classes)
 
 
 # ---------------------------------------------------------------------------
@@ -470,11 +507,16 @@ def _best_split(X, y_idx, rows, n_classes, max_features, rng):
             right_counts[cls] -= 1
             if sorted_values[split_at] == sorted_values[split_at - 1]:
                 continue
-            threshold = (sorted_values[split_at - 1] + sorted_values[split_at]) / 2.0
             weighted = (
                 split_at * _gini(left_counts) + (n - split_at) * _gini(right_counts)
             ) / n
             if best is None or weighted < best[0] - 1e-15:
+                low, high = sorted_values[split_at - 1], sorted_values[split_at]
+                threshold = (low + high) / 2.0
+                if threshold >= high:
+                    # the midpoint of adjacent floats can round up to `high`,
+                    # and `x <= high` would then send every row left
+                    threshold = low
                 best = (weighted, int(f), float(threshold))
     if best is None:
         return None  # all sampled features constant on this node
@@ -557,44 +599,39 @@ def _resolve_max_features(value, d: int) -> int | None:
     return min(int(value), d)
 
 
+def _forest(n_trees: int, bootstrap: bool, min_split: int, max_depth: int | None):
+    """The state function of a forest of n_trees, tree t grown on its own
+    RNG stream ("tree", t) from a bootstrap sample or from every row."""
+
+    def forest_state(X, y, classes, spec: ModelSpec) -> dict:
+        index = {c: i for i, c in enumerate(classes)}
+        y_idx = np.array([index[v] for v in y])
+        max_features = _resolve_max_features(spec.hyper("max_features"), X.shape[1])
+        n = X.shape[0]
+        trees = []
+        for t in range(n_trees):
+            rng = derive_rng(spec.seed, "tree", t)
+            rows = rng.integers(0, n, size=n) if bootstrap else slice(None)
+            trees.append(
+                _grow_tree(
+                    X[rows], y_idx[rows], len(classes), min_split, max_depth,
+                    max_features, rng,
+                )
+            )
+        return {"trees": trees}
+
+    return forest_state
+
+
 def train_dt(X, y, spec: ModelSpec, classes: Sequence[str] | None = None) -> TrainedModel:
-    X = _ensure_dense(X, spec.hyper("densify_budget"))
-    y, classes, priors = _resolve_classes(y, classes)
-    if len(y) != X.shape[0]:
-        raise UsageError("X and y disagree on sample count")
-    index = {c: i for i, c in enumerate(classes)}
-    y_idx = np.array([index[v] for v in y])
-    max_features = _resolve_max_features(spec.hyper("max_features"), X.shape[1])
-    rng = derive_rng(spec.seed, "tree", 0)
-    tree = _grow_tree(
-        X, y_idx, len(classes), spec.hyper("min_samples_split"),
-        spec.hyper("max_depth"), max_features, rng,
-    )
-    return TrainedModel(spec, classes, priors, X.shape[1], {"trees": [tree]})
+    # the one-tree, no-bootstrap forest, with its own depth and split limits
+    tree = _forest(1, False, spec.hyper("min_samples_split"), spec.hyper("max_depth"))
+    return _train(tree, X, y, spec, classes)
 
 
 def train_rf(X, y, spec: ModelSpec, classes: Sequence[str] | None = None) -> TrainedModel:
-    X = _ensure_dense(X, spec.hyper("densify_budget"))
-    y, classes, priors = _resolve_classes(y, classes)
-    if len(y) != X.shape[0]:
-        raise UsageError("X and y disagree on sample count")
-    index = {c: i for i, c in enumerate(classes)}
-    y_idx = np.array([index[v] for v in y])
-    max_features = _resolve_max_features(spec.hyper("max_features"), X.shape[1])
-    trees = []
-    n = X.shape[0]
-    for t in range(spec.hyper("n_trees")):
-        rng = derive_rng(spec.seed, "tree", t)
-        if spec.hyper("bootstrap"):
-            rows = rng.integers(0, n, size=n)
-        else:
-            rows = np.arange(n)
-        trees.append(
-            _grow_tree(
-                X[rows], y_idx[rows], len(classes), 2, None, max_features, rng
-            )
-        )
-    return TrainedModel(spec, classes, priors, X.shape[1], {"trees": trees})
+    forest = _forest(spec.hyper("n_trees"), spec.hyper("bootstrap"), 2, None)
+    return _train(forest, X, y, spec, classes)
 
 
 # ---------------------------------------------------------------------------
@@ -605,8 +642,7 @@ def predict_proba(m, X) -> np.ndarray:
     """Per-class probabilities; rows sum to one."""
     if isinstance(m, VotingModel):
         return _voting_proba(m, X)
-    X = _as_matrix(X)
-    _check_layout(m, X)
+    X = _model_input(X, m.spec, m.n_features)
     family = m.spec.family
     if X.shape[0] == 0:
         return np.zeros((0, len(m.classes)))
@@ -616,7 +652,6 @@ def predict_proba(m, X) -> np.ndarray:
         scores[:, ~m.state["present"]] = 0.0
         return _normalize_rows(scores)
     if family == "svm_rbf":
-        X = _ensure_dense(X, m.spec.hyper("densify_budget"))
         scores = np.zeros((X.shape[0], len(m.classes)))
         for k, machine in enumerate(m.state["machines"]):
             if machine is None:
@@ -624,13 +659,10 @@ def predict_proba(m, X) -> np.ndarray:
             K = _rbf_kernel(X, machine["sv"], m.state["gamma"])
             scores[:, k] = expit(K @ machine["alphas"] + machine["b"])
         return _normalize_rows(scores)
-    if family in ("dt", "rf"):
-        X = _ensure_dense(X, m.spec.hyper("densify_budget"))
-        acc = np.zeros((X.shape[0], len(m.classes)))
-        for tree in m.state["trees"]:
-            acc += _tree_proba(tree, X)
-        return acc / len(m.state["trees"])
-    raise UsageError(f"unknown model family {family!r}")
+    acc = np.zeros((X.shape[0], len(m.classes)))
+    for tree in m.state["trees"]:
+        acc += _tree_proba(tree, X)
+    return acc / len(m.state["trees"])
 
 
 def labels_from_proba(m, proba: np.ndarray) -> list[str]:
@@ -766,13 +798,7 @@ def model_to_envelope(m) -> dict:
 
 
 def model_from_envelope(env: dict):
-    if not isinstance(env, dict) or env.get("format") != MODEL_FORMAT:
-        raise FormatError(
-            f"expected a {MODEL_FORMAT} model file, got format "
-            f"{env.get('format') if isinstance(env, dict) else type(env).__name__!r}"
-        )
-    import json
-
+    check_envelope(env, MODEL_FORMAT, "model")
     state = _from_jsonable(
         json.loads(base64.b64decode(env["state"]).decode("utf-8"))
     )
@@ -787,20 +813,8 @@ def model_from_envelope(env: dict):
 
 
 def save_model(m, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(canonical_json(model_to_envelope(m)) + "\n")
+    write_envelope(path, model_to_envelope(m))
 
 
 def load_model(path: str):
-    import json
-
-    try:
-        fh = open(path, encoding="utf-8")
-    except FileNotFoundError:
-        raise DataError(f"model file not found: {path}") from None
-    with fh:
-        try:
-            env = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise FormatError(f"{path}: not valid JSON: {exc}") from None
-    return model_from_envelope(env)
+    return model_from_envelope(read_envelope(path, "model"))

@@ -19,7 +19,7 @@ from scipy import sparse
 
 from . import models as M
 from .corpus import GROUP_LABELS, SUPPORT_LABELS, TARGET_LABELS
-from .errors import DataError, FormatError, UsageError
+from .errors import UsageError
 from .features import (
     CategoryLexicon,
     EmotionLexicon,
@@ -39,7 +39,13 @@ from .features import (
     transform_tfidf_corpus,
 )
 from .preprocess import PreprocessConfig, TokenStream, default_config, normalize
-from .util import canonical_json, derive_seed, fingerprint
+from .util import (
+    check_envelope,
+    derive_seed,
+    fingerprint,
+    read_envelope,
+    write_envelope,
+)
 
 PIPELINE_FORMAT = "ssd-pipeline-v1"
 
@@ -257,15 +263,15 @@ def extract_dense_blocks(
     return blocks
 
 
-def matrix_for_family(fm: FeatureMatrix, family: str):
-    """Linear families keep the TF-IDF block sparse; others densify."""
+def matrix_for_family(fm: FeatureMatrix):
+    """The one matrix every model family is handed: the dense blocks
+    stacked with the sparse TF-IDF block. Each family's own form of it
+    is made in `models`. (perfbench/spans.py wraps this name.)"""
     if fm.tfidf is None:
         return fm.dense
-    if family in ("lr", "svm_linear"):
-        if fm.dense.shape[1] == 0:
-            return fm.tfidf
-        return sparse.hstack([sparse.csr_matrix(fm.dense), fm.tfidf], format="csr")
-    return fm.to_dense()
+    if fm.dense.shape[1] == 0:
+        return fm.tfidf
+    return sparse.hstack([sparse.csr_matrix(fm.dense), fm.tfidf], format="csr")
 
 
 # ---------------------------------------------------------------------------
@@ -336,6 +342,7 @@ def fit_models(
     needed = set(m for m in cfg.models if m in BASE_FAMILIES)
     if any(m in VOTE_KINDS for m in cfg.models):
         needed.update(cfg.base_members())
+    X = matrix_for_family(fm)
     base: dict[str, object] = {}
     for family in sorted(needed):
         t0 = time.perf_counter()
@@ -345,7 +352,7 @@ def fit_models(
             derive_seed(cfg.seed, "model", family, *fold_tag),
         )
         trainer = getattr(M, f"train_{family}")
-        base[family] = trainer(matrix_for_family(fm, family), y, spec, classes=classes)
+        base[family] = trainer(X, y, spec, classes=classes)
         if timing is not None:
             timing[f"train_{family}"] = time.perf_counter() - t0
     out: dict[str, object] = {}
@@ -394,11 +401,8 @@ def pipeline_matrix(p: FittedPipeline, texts: Sequence[str]) -> FeatureMatrix:
 
 
 def score(model, fm: FeatureMatrix) -> tuple[list[str], np.ndarray]:
-    """Labels and probabilities of a trained model from one scoring pass.
-    A base model sees its family's layout; a voter sees the linear one,
-    and each member densifies it as needed."""
-    family = getattr(getattr(model, "spec", None), "family", None)
-    proba = M.predict_proba(model, matrix_for_family(fm, family or "lr"))
+    """Labels and probabilities of a trained model from one scoring pass."""
+    proba = M.predict_proba(model, matrix_for_family(fm))
     return M.labels_from_proba(model, proba), proba
 
 
@@ -513,11 +517,7 @@ def pipeline_to_envelope(p: FittedPipeline) -> dict:
 
 
 def pipeline_from_envelope(env: dict) -> FittedPipeline:
-    if not isinstance(env, dict) or env.get("format") != PIPELINE_FORMAT:
-        raise FormatError(
-            f"expected a {PIPELINE_FORMAT} pipeline file, got format "
-            f"{env.get('format') if isinstance(env, dict) else type(env).__name__!r}"
-        )
+    check_envelope(env, PIPELINE_FORMAT, "pipeline")
     lex = _lexicons_from_jsonable(env["lexicons"])
     recorded = env.get("lexicon_fingerprints", {})
     if recorded and recorded != lex.fingerprints():
@@ -551,18 +551,8 @@ def pipeline_from_envelope(env: dict) -> FittedPipeline:
 
 
 def save_pipeline(p: FittedPipeline, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(canonical_json(pipeline_to_envelope(p)) + "\n")
+    write_envelope(path, pipeline_to_envelope(p))
 
 
 def load_pipeline(path: str) -> FittedPipeline:
-    try:
-        fh = open(path, encoding="utf-8")
-    except FileNotFoundError:
-        raise DataError(f"pipeline file not found: {path}") from None
-    with fh:
-        try:
-            env = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise FormatError(f"{path}: not valid JSON: {exc}") from None
-    return pipeline_from_envelope(env)
+    return pipeline_from_envelope(read_envelope(path, "pipeline"))

@@ -17,6 +17,7 @@ from typing import Callable
 
 from .errors import DataError
 from .porter import stem as porter_stem
+from .util import open_input
 
 # word runs; apostrophes join alphanumeric runs into a single token
 _WORD_RE = re.compile(r"[^\W_]+(?:['’][^\W_]+)*", re.UNICODE)
@@ -28,9 +29,14 @@ def _data_text(name: str) -> str:
     return (resources.files("ssd") / "data" / name).read_text("utf-8")
 
 
+def _file_text(path: str, kind: str) -> str:
+    with open_input(path, kind) as fh:
+        return fh.read()
+
+
 def load_stopwords(path: str | None = None) -> frozenset[str]:
     """Read a one-word-per-line stop-word list; bundled list when path is None."""
-    text = open(path, encoding="utf-8").read() if path else _data_text("stopwords.txt")
+    text = _file_text(path, "stop-word") if path else _data_text("stopwords.txt")
     words = [w.strip() for w in text.splitlines() if w.strip()]
     for w in words:
         if w != w.lower():
@@ -41,7 +47,7 @@ def load_stopwords(path: str | None = None) -> frozenset[str]:
 def load_tsv_map(path: str | None = None, *, bundled: str | None = None) -> dict[str, str]:
     """Read a symbol<TAB>phrase map; values must be non-empty lowercase."""
     if path:
-        text = open(path, encoding="utf-8").read()
+        text = _file_text(path, "map")
         source = path
     else:
         assert bundled is not None

@@ -1,17 +1,52 @@
-"""Small shared helpers: canonical JSON, hashing, seeded RNG streams, tables."""
+"""Small shared helpers: input files and saved envelopes, canonical JSON,
+hashing, seeded RNG streams, tables."""
 
 from __future__ import annotations
 
 import hashlib
 import json
-from typing import Any, Iterable, Sequence
+from typing import IO, Any, Iterable, Sequence
 
 import numpy as np
+
+from .errors import DataError, FormatError
 
 
 def canonical_json(obj: Any) -> str:
     """Deterministic JSON text: sorted keys, no whitespace drift."""
     return json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=False)
+
+
+def open_input(path: str, kind: str, **kwargs) -> IO[str]:
+    """Open a file the user named for reading as UTF-8 text; a path that
+    cannot be opened is a DataError naming the kind of file."""
+    try:
+        return open(path, encoding="utf-8", **kwargs)
+    except FileNotFoundError:
+        raise DataError(f"{kind} file not found: {path}") from None
+    except OSError as exc:
+        raise DataError(f"cannot open {kind} file {path}: {exc.strerror}") from None
+
+
+def read_envelope(path: str, kind: str) -> Any:
+    """The JSON value of a saved model, pipeline or cascade file."""
+    with open_input(path, kind) as fh:
+        try:
+            return json.load(fh)
+        except ValueError as exc:  # not JSON, or not UTF-8
+            raise FormatError(f"{path}: not valid JSON: {exc}") from None
+
+
+def check_envelope(env: Any, fmt: str, kind: str) -> None:
+    """Reject anything but a dict tagged with format `fmt`."""
+    if not isinstance(env, dict) or env.get("format") != fmt:
+        found = env.get("format") if isinstance(env, dict) else type(env).__name__
+        raise FormatError(f"expected a {fmt} {kind} file, got format {found!r}")
+
+
+def write_envelope(path: str, env: dict) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(canonical_json(env) + "\n")
 
 
 def sha256_hex(data: bytes | str) -> str:

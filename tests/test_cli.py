@@ -69,6 +69,41 @@ class TestProfile:
         assert "lexicon" in capsys.readouterr().err
 
 
+class TestMissingInputFiles:
+    """A path that cannot be opened is one `error:` line and exit 2."""
+
+    @staticmethod
+    def assert_one_error_line(capsys, kind):
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {kind} file not found: ")
+        assert len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("flag,kind", [
+        ("--category", "category lexicon"),
+        ("--emotion", "emotion lexicon"),
+        ("--valence", "valence lexicon"),
+    ])
+    def test_profile_lexicon(self, workdir, capsys, flag, kind):
+        nope = str(workdir["tmp"] / "nope")
+        assert main(["profile", workdir["data"], flag, nope]) == 2
+        self.assert_one_error_line(capsys, kind)
+
+    @pytest.mark.parametrize("flag", ["--negators", "--boosters"])
+    def test_profile_word_list(self, workdir, capsys, flag):
+        nope = str(workdir["tmp"] / "nope")
+        code = main(["profile", workdir["data"],
+                     "--valence", workdir["lex"]["valence"], flag, nope])
+        assert code == 2
+        self.assert_one_error_line(capsys, flag[2:])
+
+    def test_cv_category_lexicon(self, workdir, capsys):
+        cfg = json.loads(Path(workdir["config"]).read_text())
+        cfg.update(features=["liwc", "tfidf"], lexicons={"category": "nope.dic"})
+        Path(workdir["config"]).write_text(json.dumps(cfg))
+        assert main(["cv", "--config", workdir["config"]]) == 2
+        self.assert_one_error_line(capsys, "category lexicon")
+
+
 class TestCv:
     def test_prints_table_and_writes_artifacts(self, workdir, capsys):
         out_dir = workdir["tmp"] / "cvout"

@@ -290,10 +290,9 @@ class TestCombine:
         fm = combine_features(
             [("tfidf", tf), ("sentiment", sent), ("liwc", liwc), ("emotion", emo)]
         )
-        assert [name for name, _ in fm.layout] == ["liwc", "emotion", "sentiment", "tfidf"]
-        assert fm.width == 2 + 8 + 3 + 2
-        dense = fm.to_dense()
-        assert dense[0, 0] == 3.0 and dense[0, -1] == 0.5
+        assert fm.layout == (("liwc", 2), ("emotion", 8), ("sentiment", 3), ("tfidf", 2))
+        assert fm.dense.shape == (1, 2 + 8 + 3)
+        assert fm.dense[0, 0] == 3.0 and fm.tfidf[0, 1] == 0.5
 
     def test_zscore_requires_stats(self):
         with pytest.raises(UsageError):

@@ -5,6 +5,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import sparse
 
 from ssd import models as M
@@ -26,7 +28,7 @@ from ssd.models import (
     train_svm_linear,
     train_svm_rbf,
 )
-from ssd.util import derive_rng
+from ssd.util import canonical_json, derive_rng
 
 XOR_X = np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]])
 XOR_Y = ["a", "b", "b", "a"]
@@ -148,6 +150,17 @@ class TestTrees:
         tree = model.state["trees"][0]
         assert tree["feature"][0] == 0
         assert tree["threshold"][0] == pytest.approx(2.5)
+
+    def test_adjacent_floats_still_split(self):
+        # the midpoint of these two values rounds up to the larger one
+        low = np.nextafter(1.0, 2.0)
+        high = np.nextafter(low, 2.0)
+        assert (low + high) / 2.0 == high
+        X = np.array([[low], [high], [low], [high]])
+        y = ["a", "b", "a", "b"]
+        model = train_dt(X, y, make_spec("dt", seed=0, max_depth=3))
+        assert model.state["trees"][0]["threshold"][0] == low
+        assert predict(model, X) == y
 
     def test_identical_rows_become_single_leaf(self):
         X = np.ones((6, 3))
@@ -385,3 +398,110 @@ class TestSerialization:
             make_spec("lr", C=-1.0)
         with pytest.raises(UsageError):
             ModelSpec("rf", {"n_trees": 0}, 0)
+
+
+class TestInputContract:
+    """The trainers and `predict_proba` decide a model's input form. The
+    dense families, and voters over them, give the same model for the
+    sparse and the dense form of the same values; the linear families
+    compute on the form they are given (see
+    `test_sparse_and_dense_linear_paths_agree`)."""
+
+    DENSE = ("svm_rbf", "dt", "rf")
+    HYPER = {
+        "lr": {"max_iter": 40},
+        "svm_linear": {"epochs": 2},
+        "svm_rbf": {"max_passes": 2},
+        "rf": {"n_trees": 3},
+    }
+
+    @classmethod
+    def spec(cls, family):
+        return make_spec(family, seed=3, **cls.HYPER.get(family, {}))
+
+    @classmethod
+    def fit_all(cls, X, y):
+        fitted = {family: TRAINERS[family](X, y, cls.spec(family)) for family in cls.DENSE}
+        members = [fitted[f] for f in sorted(fitted)]
+        fitted["soft_vote"] = make_voting("soft", members)
+        fitted["hard_vote"] = make_voting("hard", members)
+        return fitted
+
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_sparse_and_dense_forms_give_one_model(self, data):
+        n = data.draw(st.integers(4, 16), label="rows")
+        d = data.draw(st.integers(1, 6), label="columns")
+        values = st.one_of(st.just(0.0), st.floats(-4.0, 4.0, allow_nan=False))
+        X = np.array(data.draw(st.lists(
+            st.lists(values, min_size=d, max_size=d), min_size=n, max_size=n)))
+        X = X + 0.0  # -0.0 has no sparse form
+        y = ["a", "b"] + data.draw(
+            st.lists(st.sampled_from("abc"), min_size=n - 2, max_size=n - 2))
+        Xs = sparse.csr_matrix(X)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            from_dense, from_sparse = self.fit_all(X, y), self.fit_all(Xs, y)
+        assert set(from_dense) == set(self.DENSE) | {"soft_vote", "hard_vote"}
+        for name, model in from_dense.items():
+            other = from_sparse[name]
+            assert canonical_json(model_to_envelope(model)) == canonical_json(
+                model_to_envelope(other)), name
+            expected = predict_proba(model, X).tobytes()
+            for m, form in ((model, Xs), (other, X), (other, Xs)):
+                assert predict_proba(m, form).tobytes() == expected, name
+
+    @pytest.mark.parametrize("family", ["svm_rbf", "dt", "rf"])
+    def test_densify_budget_bounds_training_and_prediction(self, family):
+        X, y = blobs(n=20, seed=30)
+        spec = make_spec(family, seed=0, densify_budget=39, **self.HYPER.get(family, {}))
+        with pytest.raises(DataError, match="densify_budget"):
+            TRAINERS[family](sparse.csr_matrix(X), y, spec)
+        model = TRAINERS[family](X, y, spec)  # dense input needs no densifying
+        assert predict_proba(model, sparse.csr_matrix(X[:19])).shape == (19, 2)
+        with pytest.raises(DataError, match="densify_budget"):
+            predict_proba(model, sparse.csr_matrix(X))
+
+    @pytest.mark.parametrize("family", ["lr", "svm_linear"])
+    def test_linear_families_keep_the_input_form(self, family):
+        # dense input stays dense, so its row products run in BLAS, with
+        # no CSR copy per fit or per prediction
+        X, _ = blobs(n=20, seed=31)
+        assert isinstance(M._model_input(X, make_spec(family)), np.ndarray)
+        assert M._model_input(sparse.csc_matrix(X), make_spec(family)).format == "csr"
+
+
+class TestLrCap:
+    @staticmethod
+    def three_classes():
+        rng = derive_rng(40, "three")
+        X = rng.normal(size=(30, 3))
+        y = [("a", "b", "c")[i % 3] for i in range(30)]
+        X[:, 0] += [3.0 * ("abc".index(v)) for v in y]
+        return X, y
+
+    def test_capped_fit_warns_once(self):
+        X, y = self.three_classes()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            model = train_lr(X, y, make_spec("lr", seed=0, max_iter=1))
+        assert all(len(trace) == 2 for trace in model.state["loss_traces"])
+        capped = [w for w in caught if str(w.message) == M.LR_CAPPED_WARNING]
+        assert len(capped) == 1
+        assert capped[0].filename == __file__
+
+    def test_converged_fit_is_silent(self):
+        X, y = self.three_classes()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            model = train_lr(X, y, make_spec("lr", seed=0, tol=1.0))
+        assert all(len(trace) == 2 for trace in model.state["loss_traces"])
+
+    def test_absent_class_warning_points_at_the_caller(self):
+        X, y = blobs(n=20, seed=41)
+        for family, trainer in TRAINERS.items():
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                trainer(X, y, TestInputContract.spec(family), classes=("a", "b", "zzz"))
+            absent = [w for w in caught if "zzz" in str(w.message)]
+            assert [w.filename for w in absent] == [__file__], family
