@@ -1,9 +1,10 @@
 """Three-stage hierarchical inference: support gate, then target, then group.
 
 Each stage is an independently fitted pipeline trained on its gold stage
-view. Prediction gates forward: a NSS verdict stops at stage 1, an
-Individual verdict stops at stage 2. Emitted labels always satisfy the
-hierarchical invariants by construction.
+view. Prediction gates forward: a stage sees only the texts whose previous
+verdict is its opener in `corpus.SUBTASKS`, so a NSS verdict stops at
+stage 1 and an Individual verdict at stage 2. Emitted labels always
+satisfy the hierarchical invariants by construction.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Sequence
 
-from .corpus import Dataset, HierLabel, stage_view
+from .corpus import SUBTASKS, Dataset, HierLabel, stage_view
 from .errors import DataError, UsageError
 from .pipeline import (
     ExperimentConfig,
@@ -58,7 +59,7 @@ def train_cascade(
     lex = load_lexicons(cfg)
     pc = preprocess_config(cfg)
     stages = []
-    for subtask in (1, 2, 3):
+    for subtask in SUBTASKS:
         try:
             view = stage_view(d, subtask)
         except DataError:
@@ -81,7 +82,7 @@ def train_cascade(
             )
         except DataError as exc:
             raise DataError(f"cannot train stage {subtask}: {exc}") from None
-    return CascadeModel(stages[0], stages[1], stages[2], lex.fingerprints())
+    return CascadeModel(*stages, lex.fingerprints())
 
 
 @dataclass(frozen=True)
@@ -96,47 +97,26 @@ def cascade_predict_batch(
     m: CascadeModel, texts: Sequence[str]
 ) -> list[CascadePrediction]:
     """Predict hierarchical labels for a batch, gating stages by upstream
-    verdicts. Probabilities are the chosen class's score at each reached
-    stage; unreached stages report None."""
-    n = len(texts)
-    if n == 0:
-        return []
-    labels1, proba1 = predict_pipeline(m.stage1, texts)
-    idx1 = {c: i for i, c in enumerate(m.stage1.classes)}
-    out: list[CascadePrediction | None] = [None] * n
-
-    ss_rows = [i for i, lab in enumerate(labels1) if lab == "SS"]
-    p2_by_row: dict[int, tuple[str, float]] = {}
-    group_rows: list[int] = []
-    if ss_rows:
-        labels2, proba2 = predict_pipeline(m.stage2, [texts[i] for i in ss_rows])
-        idx2 = {c: i for i, c in enumerate(m.stage2.classes)}
-        for row, lab, pr in zip(ss_rows, labels2, proba2):
-            p2_by_row[row] = (lab, float(pr[idx2[lab]]))
-            if lab == "Group":
-                group_rows.append(row)
-    p3_by_row: dict[int, tuple[str, float]] = {}
-    if group_rows:
-        labels3, proba3 = predict_pipeline(m.stage3, [texts[i] for i in group_rows])
-        idx3 = {c: i for i, c in enumerate(m.stage3.classes)}
-        for row, lab, pr in zip(group_rows, labels3, proba3):
-            p3_by_row[row] = (lab, float(pr[idx3[lab]]))
-
-    for i in range(n):
-        support = labels1[i]
-        p1 = float(proba1[i][idx1[support]])
-        if support != "SS":
-            out[i] = CascadePrediction(HierLabel("NSS", None, None), p1, None, None)
-            continue
-        target, p2 = p2_by_row[i]
-        if target != "Group":
-            out[i] = CascadePrediction(
-                HierLabel("SS", target, None), p1, p2, None
-            )
-            continue
-        group, p3 = p3_by_row[i]
-        out[i] = CascadePrediction(HierLabel("SS", "Group", group), p1, p2, p3)
-    return out  # type: ignore[return-value]
+    verdicts: a stage scores the rows whose previous verdict is its opener.
+    Probabilities are the chosen class's score at each reached stage;
+    unreached stages report None."""
+    reached: list[list[tuple[str, float]]] = [[] for _ in texts]
+    rows = list(range(len(texts)))
+    for stage, spec in zip(m.stages(), SUBTASKS.values()):
+        if spec.opener is not None:
+            rows = [i for i in rows if reached[i][-1][0] == spec.opener]
+        if not rows:
+            break
+        stage_labels, proba = predict_pipeline(stage, [texts[i] for i in rows])
+        column = {c: j for j, c in enumerate(stage.classes)}
+        for i, lab, pr in zip(rows, stage_labels, proba):
+            reached[i].append((lab, float(pr[column[lab]])))
+    out = []
+    for verdicts in reached:
+        unreached = [(None, None)] * (len(SUBTASKS) - len(verdicts))
+        labels, probs = zip(*verdicts, *unreached)
+        out.append(CascadePrediction(HierLabel(*labels), *probs))
+    return out
 
 
 def cascade_predict(m: CascadeModel, text: str) -> CascadePrediction:
@@ -159,15 +139,9 @@ def predictions_csv(preds: Sequence[CascadePrediction]) -> str:
     """CSV rows `id,support,target,group,p1,p2,p3`, ids 1-based line numbers."""
     lines = ["id,support,target,group,p1,p2,p3"]
     for i, p in enumerate(preds, start=1):
-        lines.append(",".join([
-            str(i),
-            p.label.support,
-            p.label.target or "",
-            p.label.group or "",
-            f"{p.p1:.6f}",
-            f"{p.p2:.6f}" if p.p2 is not None else "",
-            f"{p.p3:.6f}" if p.p3 is not None else "",
-        ]))
+        labels = [p.label.stage(k) or "" for k in SUBTASKS]
+        probs = [f"{v:.6f}" if v is not None else "" for v in (p.p1, p.p2, p.p3)]
+        lines.append(",".join([str(i), *labels, *probs]))
     return "\n".join(lines) + "\n"
 
 
@@ -176,23 +150,20 @@ def cascade_to_envelope(m: CascadeModel) -> dict:
         "format": CASCADE_FORMAT,
         "lexicon_fingerprints": dict(m.lexicon_fingerprints),
         "stages": {
-            "1": pipeline_to_envelope(m.stage1),
-            "2": pipeline_to_envelope(m.stage2),
-            "3": pipeline_to_envelope(m.stage3),
+            str(k): pipeline_to_envelope(stage)
+            for k, stage in zip(SUBTASKS, m.stages())
         },
     }
 
 
 def cascade_from_envelope(env: dict) -> CascadeModel:
     check_envelope(env, CASCADE_FORMAT, "cascade")
-    stages = [pipeline_from_envelope(env["stages"][k]) for k in ("1", "2", "3")]
-    return CascadeModel(
-        stages[0], stages[1], stages[2], dict(env["lexicon_fingerprints"])
-    )
+    stages = [pipeline_from_envelope(env["stages"][str(k)]) for k in SUBTASKS]
+    return CascadeModel(*stages, dict(env["lexicon_fingerprints"]))
 
 
 def save_cascade(m: CascadeModel, path: str) -> None:
-    write_envelope(path, cascade_to_envelope(m))
+    write_envelope(path, cascade_to_envelope(m), "cascade")
 
 
 def load_cascade(path: str) -> CascadeModel:

@@ -14,7 +14,7 @@ from typing import Sequence
 from . import cascade as casc
 from . import evaluation as ev
 from . import ingest
-from .corpus import CSV_HEADER, dataset_stats, load_dataset
+from .corpus import CSV_HEADER, SUBTASKS, dataset_stats, load_dataset
 from .errors import DataError, SsdError, UsageError
 from .features import (
     load_category_lexicon,
@@ -30,7 +30,7 @@ from .pipeline import (
     save_pipeline,
 )
 from .preprocess import default_config
-from .util import canonical_json, format_table, open_input
+from .util import canonical_json, format_table, open_input, open_output
 
 
 class _Parser(argparse.ArgumentParser):
@@ -53,7 +53,7 @@ def _build_parser() -> _Parser:
     q = sub.add_parser("profile",
                        help="per-label mean lexicon features")
     q.add_argument("dataset")
-    q.add_argument("--subtask", type=int, default=1, choices=(1, 2, 3))
+    q.add_argument("--subtask", type=int, default=1, choices=tuple(SUBTASKS))
     q.add_argument("--category", help="category lexicon (.dic)")
     q.add_argument("--emotion", help="emotion association lexicon (TSV)")
     q.add_argument("--valence", help="valence lexicon (TSV)")
@@ -100,7 +100,7 @@ def _build_parser() -> _Parser:
     q.add_argument("--a", required=True, help="first annotator's dataset CSV")
     q.add_argument("--b", required=True, help="second annotator's dataset CSV")
     q.add_argument("--column", default="support",
-                   choices=("support", "target", "group"))
+                   choices=tuple(st.field for st in SUBTASKS.values()))
 
     q = sub.add_parser("fetch",
                        help="collect comments, clean them, and sample")
@@ -235,7 +235,7 @@ def _read_texts_csv(path: str) -> tuple[list[str], list[str]]:
 
 def _write_or_print(text: str, out: str | None) -> None:
     if out:
-        with open(out, "w", encoding="utf-8") as fh:
+        with open_output(out, "output") as fh:
             fh.write(text)
         print(f"wrote {out}", file=sys.stderr)
     else:

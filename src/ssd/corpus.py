@@ -13,19 +13,34 @@ import csv
 import io
 import json
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import DataError
-from .util import derive_rng, format_table, open_input
+from .util import derive_rng, format_table, open_input, open_output
 
 SUPPORT_LABELS = ("SS", "NSS")
 TARGET_LABELS = ("Individual", "Group")
 GROUP_LABELS = ("Nation", "Religion", "BlackCommunity", "LGBTQ", "Women", "Other")
 
+
+class Subtask(NamedTuple):
+    field: str  # the HierLabel field this subtask labels, also its report name
+    labels: tuple[str, ...]  # canonical class order
+    opener: str | None  # the previous subtask's verdict that opens this one
+
+
+# The label hierarchy: every stage-wise rule (label checks, stage views,
+# stats, class order, cascade gating) is read from this table.
+SUBTASKS = {
+    1: Subtask("support", SUPPORT_LABELS, None),
+    2: Subtask("target", TARGET_LABELS, "SS"),
+    3: Subtask("group", GROUP_LABELS, "Group"),
+}
+
 # display/community spellings accepted on input
 _GROUP_ALIASES = {"Black Community": "BlackCommunity"}
 
-CSV_HEADER = ("id", "text", "support", "target", "group")
+CSV_HEADER = ("id", "text", *(st.field for st in SUBTASKS.values()))
 
 
 @dataclass(frozen=True)
@@ -42,9 +57,10 @@ class Comment:
 
 @dataclass(frozen=True)
 class HierLabel:
-    """Three-stage label. Later stages may be absent only in the two
-    tolerated incomplete shapes: SS without a target, or Group without a
-    community. Contradictory combinations are rejected outright."""
+    """Three-stage label, one field per row of SUBTASKS. A stage holds a
+    label only when the previous stage's verdict is its opener. A stage so
+    opened may be blank, which marks the label incomplete; any other
+    combination is rejected outright."""
 
     support: str
     target: str | None = None
@@ -53,33 +69,37 @@ class HierLabel:
     def __post_init__(self) -> None:
         if self.group in _GROUP_ALIASES:
             object.__setattr__(self, "group", _GROUP_ALIASES[self.group])
-        if self.support not in SUPPORT_LABELS:
-            raise DataError(f"unknown support label {self.support!r}")
-        if self.target is not None and self.target not in TARGET_LABELS:
-            raise DataError(f"unknown target label {self.target!r}")
-        if self.group is not None and self.group not in GROUP_LABELS:
-            raise DataError(f"unknown group label {self.group!r}")
-        if self.support == "NSS" and (self.target or self.group):
-            raise DataError("NSS forbids target and group labels")
-        if self.target == "Individual" and self.group:
-            raise DataError("Individual target forbids a group label")
-        if self.group and self.target != "Group":
-            raise DataError("group label requires target=Group")
+        previous = None
+        for k, (field, labels, opener) in SUBTASKS.items():
+            value = getattr(self, field)
+            if value is not None or opener is None:
+                if value not in labels:
+                    raise DataError(f"unknown {field} label {value!r}")
+                if previous != opener:
+                    raise DataError(
+                        f"{field} label {value!r} requires "
+                        f"{SUBTASKS[k - 1].field}={opener}, got {previous!r}"
+                    )
+            previous = value
 
     @property
     def incomplete(self) -> bool:
-        return (self.support == "SS" and self.target is None) or (
-            self.target == "Group" and self.group is None
+        """A stage that the previous verdict opens has no label."""
+        values = [getattr(self, st.field) for st in SUBTASKS.values()]
+        return any(
+            value is None and previous == st.opener
+            for st, previous, value in zip(SUBTASKS.values(), [None] + values, values)
         )
 
     def stage(self, subtask: int) -> str | None:
-        if subtask == 1:
-            return self.support
-        if subtask == 2:
-            return self.target
-        if subtask == 3:
-            return self.group
-        raise DataError(f"subtask must be 1, 2, or 3, got {subtask}")
+        return getattr(self, _subtask(subtask).field)
+
+
+def _subtask(subtask: int) -> Subtask:
+    """The table row of a subtask number; any other number is a DataError."""
+    if subtask not in SUBTASKS:
+        raise DataError(f"subtask must be one of {list(SUBTASKS)}, got {subtask}")
+    return SUBTASKS[subtask]
 
 
 @dataclass(frozen=True)
@@ -122,13 +142,12 @@ class Dataset:
 
 
 def _parse_label(
-    row_name: str, support: str, target: str, group: str, require_complete: bool
+    row_name: str, stages: Sequence[str], require_complete: bool
 ) -> HierLabel | None:
-    if not support and not target and not group:
+    if not any(stages):
         return None
-    group = _GROUP_ALIASES.get(group, group)
     try:
-        label = HierLabel(support, target or None, group or None)
+        label = HierLabel(*(value or None for value in stages))
     except DataError as exc:
         raise DataError(f"{row_name}: {exc}") from None
     if require_complete and label.incomplete:
@@ -137,15 +156,15 @@ def _parse_label(
 
 
 def _items_from_rows(
-    rows: Iterable[tuple[str, str, str, str, str, str]], require_complete: bool
+    rows: Iterable[tuple[str, ...]], require_complete: bool
 ) -> list[DatasetItem]:
     items = []
-    for row_name, cid, text, support, target, group in rows:
+    for row_name, cid, text, *stages in rows:
         try:
             comment = Comment(cid, text)
         except DataError as exc:
             raise DataError(f"{row_name}: {exc}") from None
-        label = _parse_label(row_name, support, target, group, require_complete)
+        label = _parse_label(row_name, stages, require_complete)
         items.append(DatasetItem(comment, label))
     return items
 
@@ -199,9 +218,7 @@ def _load_jsonl(path: str, require_complete: bool) -> Dataset:
                     f"{path}: line {lineno}",
                     str(obj.get("id", "")),
                     str(obj.get("text", "")),
-                    str(obj.get("support") or ""),
-                    str(obj.get("target") or ""),
-                    str(obj.get("group") or ""),
+                    *(str(obj.get(st.field) or "") for st in SUBTASKS.values()),
                 )
             )
     return Dataset(tuple(_items_from_rows(rows, require_complete)), str(path))
@@ -209,40 +226,23 @@ def _load_jsonl(path: str, require_complete: bool) -> Dataset:
 
 def write_dataset(d: Dataset, path: str) -> None:
     """Write canonical CSV (or JSON Lines when the path ends in .jsonl)."""
+    rows = []
+    for it in d.items:
+        stages = [it.label.stage(k) if it.label else None for k in SUBTASKS]
+        rows.append([it.comment.id, it.comment.text, *(v or "" for v in stages)])
     if str(path).endswith(".jsonl"):
-        with open(path, "w", encoding="utf-8") as fh:
-            for item in d.items:
-                lab = item.label
-                fh.write(
-                    json.dumps(
-                        {
-                            "id": item.comment.id,
-                            "text": item.comment.text,
-                            "support": lab.support if lab else "",
-                            "target": (lab.target or "") if lab else "",
-                            "group": (lab.group or "") if lab else "",
-                        },
-                        ensure_ascii=False,
-                    )
-                    + "\n"
-                )
-        return
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(CSV_HEADER)
-    for item in d.items:
-        lab = item.label
-        writer.writerow(
-            [
-                item.comment.id,
-                item.comment.text,
-                lab.support if lab else "",
-                (lab.target or "") if lab else "",
-                (lab.group or "") if lab else "",
-            ]
+        text = "".join(
+            json.dumps(dict(zip(CSV_HEADER, row)), ensure_ascii=False) + "\n"
+            for row in rows
         )
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(buf.getvalue())
+    else:
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(CSV_HEADER)
+        writer.writerows(rows)
+        text = buf.getvalue()
+    with open_output(path, "dataset") as fh:
+        fh.write(text)
 
 
 @dataclass(frozen=True)
@@ -255,35 +255,30 @@ class StatsReport:
     n_incomplete: int
 
     def to_json_dict(self) -> dict:
-        return {
-            "subtask1": self.support_counts,
-            "subtask2": self.target_counts,
-            "subtask3": self.group_counts,
-            "totals": {
-                "labeled": self.n_labeled,
-                "unlabeled": self.n_unlabeled,
-                "incomplete": self.n_incomplete,
-            },
+        out: dict = {f"subtask{k}": c for k, c in self.by_subtask().items()}
+        out["totals"] = {
+            "labeled": self.n_labeled,
+            "unlabeled": self.n_unlabeled,
+            "incomplete": self.n_incomplete,
         }
+        return out
 
     def to_text(self) -> str:
         rows = []
-        for subtask, counts in (
-            ("1", self.support_counts),
-            ("2", self.target_counts),
-            ("3", self.group_counts),
-        ):
+        for subtask, counts in self.by_subtask().items():
             for name, count in counts.items():
-                rows.append((subtask, name, str(count)))
-            rows.append((subtask, "(total)", str(sum(counts.values()))))
+                rows.append((str(subtask), name, str(count)))
+            rows.append((str(subtask), "(total)", str(sum(counts.values()))))
         return format_table(("subtask", "label", "count"), rows)
+
+    def by_subtask(self) -> dict[int, dict[str, int]]:
+        counts = (self.support_counts, self.target_counts, self.group_counts)
+        return dict(zip(SUBTASKS, counts))
 
 
 def dataset_stats(d: Dataset) -> StatsReport:
     """Exact per-stage label counts; each stage counts the labels present."""
-    support = {name: 0 for name in SUPPORT_LABELS}
-    target = {name: 0 for name in TARGET_LABELS}
-    group = {name: 0 for name in GROUP_LABELS}
+    counts = {k: dict.fromkeys(st.labels, 0) for k, st in SUBTASKS.items()}
     n_labeled = n_unlabeled = n_incomplete = 0
     for item in d.items:
         lab = item.label
@@ -292,37 +287,21 @@ def dataset_stats(d: Dataset) -> StatsReport:
             continue
         n_labeled += 1
         n_incomplete += lab.incomplete
-        support[lab.support] += 1
-        if lab.target:
-            target[lab.target] += 1
-        if lab.group:
-            group[lab.group] += 1
-    return StatsReport(support, target, group, n_labeled, n_unlabeled, n_incomplete)
+        for k, stage_counts in counts.items():
+            value = lab.stage(k)
+            if value is not None:
+                stage_counts[value] += 1
+    return StatsReport(*counts.values(), n_labeled, n_unlabeled, n_incomplete)
 
 
 def stage_view(d: Dataset, subtask: int) -> Dataset:
     """Dataset restricted to the items a given subtask classifies."""
-    if subtask == 1:
-        kept = [it for it in d.items if it.label is not None]
-    elif subtask == 2:
-        kept = [
-            it
-            for it in d.items
-            if it.label is not None
-            and it.label.support == "SS"
-            and it.label.target is not None
-        ]
-    elif subtask == 3:
-        kept = [
-            it
-            for it in d.items
-            if it.label is not None
-            and it.label.target == "Group"
-            and it.label.group is not None
-        ]
-    else:
-        raise DataError(f"subtask must be 1, 2, or 3, got {subtask}")
-    if subtask != 1 and not kept:
+    opener = _subtask(subtask).opener
+    kept = [
+        it for it in d.items
+        if it.label is not None and it.label.stage(subtask) is not None
+    ]
+    if opener is not None and not kept:
         raise DataError(f"subtask-{subtask} view is empty")
     return Dataset(tuple(kept), d.provenance)
 

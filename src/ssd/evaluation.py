@@ -18,8 +18,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .corpus import Dataset, load_dataset, stage_view, stratified_kfold_labels
-from .errors import UsageError
+from .corpus import (
+    SUBTASKS, Dataset, load_dataset, stage_view, stratified_kfold_labels,
+)
+from .errors import DataError, UsageError
 from .features import EMOTIONS, SENTIMENT_NAMES
 from .pipeline import (
     ExperimentConfig,
@@ -34,15 +36,15 @@ from .pipeline import (
     score,
 )
 from .preprocess import PreprocessConfig, default_config, normalize
-from .util import canonical_json, fingerprint, format_markdown_table, format_table
+from .util import (
+    canonical_json, fingerprint, format_markdown_table, format_table, open_output,
+)
 
 # unused here, but perfbench/spans.py wraps these names in this module
 from .features import fit_tfidf  # noqa: F401
 from .pipeline import matrix_for_family  # noqa: F401
 
 CV_REPORT_FORMAT = "ssd-cv-report-v1"
-
-SUBTASK_NAMES = {1: "support", 2: "target", 3: "group"}
 
 
 # ---------------------------------------------------------------------------
@@ -365,7 +367,7 @@ def render_report_markdown(report: CVReport) -> str:
         "",
         f"- Dataset: `{report.config['dataset']}`",
         f"- Subtask: {report.config['subtask']}"
-        f" ({SUBTASK_NAMES.get(report.config['subtask'], '?')})",
+        f" ({SUBTASKS[report.config['subtask']].field})",
         f"- Items: {report.n_items}",
         f"- Folds: {report.folds}",
         f"- Seed: {report.seed}",
@@ -429,12 +431,17 @@ def confusion_csv(cm: ConfusionMatrix) -> str:
 def write_cv_artifacts(report: CVReport, output_dir: str) -> list[str]:
     """Write report.json, report.md, per-model confusion CSVs, and the
     timing sidecar. Returns the paths written."""
-    os.makedirs(output_dir, exist_ok=True)
+    try:
+        os.makedirs(output_dir, exist_ok=True)
+    except OSError as exc:
+        raise DataError(
+            f"cannot create output directory {output_dir}: {exc.strerror}"
+        ) from None
     written = []
 
     def emit(name: str, text: str) -> None:
         path = os.path.join(output_dir, name)
-        with open(path, "w", encoding="utf-8") as fh:
+        with open_output(path, "cv artifact") as fh:
             fh.write(text)
         written.append(path)
 

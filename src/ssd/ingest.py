@@ -28,7 +28,7 @@ from .errors import (
     UsageError,
 )
 from .preprocess import _WORD_RE, load_stopwords
-from .util import derive_rng, open_input
+from .util import derive_rng, open_input, open_output
 
 API_URL = "https://www.googleapis.com/youtube/v3/commentThreads"
 API_KEY_ENV = "SSD_YOUTUBE_API_KEY"
@@ -381,5 +381,5 @@ def comments_csv(comments: Sequence[RawComment]) -> str:
 
 
 def write_comments_csv(comments: Sequence[RawComment], path: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with open_output(path, "comments") as fh:
         fh.write(comments_csv(comments))

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import base64
 import json
+import math
 import warnings
 from dataclasses import dataclass
 from typing import Sequence
@@ -383,10 +384,11 @@ def _rbf_kernel(A: np.ndarray, B: np.ndarray, gamma: float) -> np.ndarray:
 def resolve_gamma(gamma, X: np.ndarray) -> float:
     if gamma != "scale":
         return float(gamma)
-    variance = float(X.var())
-    if variance == 0.0:
+    scaled = X.shape[1] * float(X.var())
+    # a zero or subnormal variance would give an infinite gamma, a NaN kernel
+    if scaled == 0.0 or not math.isfinite(1.0 / scaled):
         return 1.0
-    return 1.0 / (X.shape[1] * variance)
+    return 1.0 / scaled
 
 
 def _fit_binary_smo(K, targets, C, tol, max_passes, rng):
@@ -656,7 +658,9 @@ def predict_proba(m, X) -> np.ndarray:
         for k, machine in enumerate(m.state["machines"]):
             if machine is None:
                 continue
-            K = _rbf_kernel(X, machine["sv"], m.state["gamma"])
+            # a machine without support vectors loads with shape (0,)
+            sv = machine["sv"].reshape(-1, X.shape[1])
+            K = _rbf_kernel(X, sv, m.state["gamma"])
             scores[:, k] = expit(K @ machine["alphas"] + machine["b"])
         return _normalize_rows(scores)
     acc = np.zeros((X.shape[0], len(m.classes)))
@@ -813,7 +817,7 @@ def model_from_envelope(env: dict):
 
 
 def save_model(m, path: str) -> None:
-    write_envelope(path, model_to_envelope(m))
+    write_envelope(path, model_to_envelope(m), "model")
 
 
 def load_model(path: str):

@@ -18,7 +18,7 @@ import numpy as np
 from scipy import sparse
 
 from . import models as M
-from .corpus import GROUP_LABELS, SUPPORT_LABELS, TARGET_LABELS
+from .corpus import SUBTASKS
 from .errors import UsageError
 from .features import (
     CategoryLexicon,
@@ -54,13 +54,11 @@ BASE_FAMILIES = ("lr", "svm_linear", "svm_rbf", "dt", "rf")
 VOTE_KINDS = ("soft_vote", "hard_vote")
 MODEL_NAMES = BASE_FAMILIES + VOTE_KINDS
 
-# canonical label order per subtask, used whenever the observed labels fit it
-_TAXONOMY = {1: SUPPORT_LABELS, 2: TARGET_LABELS, 3: GROUP_LABELS}
-
 
 def class_order(labels: Sequence[str], subtask: int) -> tuple[str, ...]:
+    """The subtask's canonical label order when the observed labels fit it."""
     observed = set(labels)
-    canon = _TAXONOMY.get(subtask, ())
+    canon = SUBTASKS[subtask].labels
     if observed <= set(canon):
         return tuple(c for c in canon if c in observed)
     return tuple(sorted(observed))
@@ -100,8 +98,10 @@ class ExperimentConfig:
     tfidf_params: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        if self.subtask not in (1, 2, 3):
-            raise UsageError(f"subtask must be 1, 2, or 3, got {self.subtask}")
+        if self.subtask not in SUBTASKS:
+            raise UsageError(
+                f"subtask must be one of {list(SUBTASKS)}, got {self.subtask}"
+            )
         if not self.features:
             raise UsageError("at least one feature block is required")
         for f in self.features:
@@ -126,6 +126,19 @@ class ExperimentConfig:
                 raise UsageError(
                     f"feature block {block!r} requires a {key!r} lexicon path"
                 )
+        for family, params in self.hyperparameters.items():
+            if family not in BASE_FAMILIES or not isinstance(params, dict):
+                raise UsageError(
+                    f"hyperparameters[{family!r}] must be an object for a base "
+                    f"model, got {params!r}"
+                )
+            M.ModelSpec(family, params)  # checks each setting
+        unknown = set(self.preprocess_overrides) - set(PREPROCESS_SWITCHES)
+        if unknown:
+            raise UsageError(f"unknown preprocess keys: {sorted(unknown)}")
+        for key, value in self.preprocess_overrides.items():
+            if not isinstance(value, bool):
+                raise UsageError(f"preprocess {key} must be true or false, got {value!r}")
         unknown = set(self.tfidf_params) - set(TFIDF_DEFAULTS)
         if unknown:
             raise UsageError(f"unknown tfidf keys: {sorted(unknown)}")
@@ -143,6 +156,9 @@ class ExperimentConfig:
 
 # what a TF-IDF fit applies for each setting the config leaves out
 TFIDF_DEFAULTS = {"min_df": 2, "max_features": 20000}
+
+# the preprocess settings a config may switch on or off
+PREPROCESS_SWITCHES = ("lowercase", "strip_punct", "remove_stopwords", "stem")
 
 
 def tfidf_settings(cfg: ExperimentConfig) -> tuple[int, int]:
@@ -210,7 +226,9 @@ def load_experiment_config(path: str) -> ExperimentConfig:
             raw = json.load(fh)
     except FileNotFoundError:
         raise UsageError(f"config file not found: {path}") from None
-    except json.JSONDecodeError as exc:
+    except OSError as exc:
+        raise UsageError(f"cannot open config file {path}: {exc.strerror}") from None
+    except ValueError as exc:  # not JSON, or not UTF-8
         raise UsageError(f"{path}: invalid JSON: {exc}") from None
     return config_from_dict(raw, base_dir=os.path.dirname(os.path.abspath(path)))
 
@@ -230,10 +248,6 @@ def load_lexicons(cfg: ExperimentConfig) -> LexiconSet:
 
 
 def preprocess_config(cfg: ExperimentConfig) -> PreprocessConfig:
-    allowed = {"lowercase", "strip_punct", "remove_stopwords", "stem"}
-    unknown = set(cfg.preprocess_overrides) - allowed
-    if unknown:
-        raise UsageError(f"unknown preprocess keys: {sorted(unknown)}")
     return default_config(**cfg.preprocess_overrides)
 
 
@@ -551,7 +565,7 @@ def pipeline_from_envelope(env: dict) -> FittedPipeline:
 
 
 def save_pipeline(p: FittedPipeline, path: str) -> None:
-    write_envelope(path, pipeline_to_envelope(p))
+    write_envelope(path, pipeline_to_envelope(p), "pipeline")
 
 
 def load_pipeline(path: str) -> FittedPipeline:

@@ -17,15 +17,34 @@ def canonical_json(obj: Any) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=False)
 
 
-def open_input(path: str, kind: str, **kwargs) -> IO[str]:
-    """Open a file the user named for reading as UTF-8 text; a path that
-    cannot be opened is a DataError naming the kind of file."""
+def open_input(path: str, kind: str, newline: str | None = None) -> IO[str]:
+    """Open a file the user named for reading as UTF-8 text. A path that
+    cannot be opened is a DataError, and bytes that are not UTF-8 a
+    FormatError, each naming the kind of file."""
     try:
-        return open(path, encoding="utf-8", **kwargs)
+        fh = open(path, encoding="utf-8", newline=newline)
     except FileNotFoundError:
         raise DataError(f"{kind} file not found: {path}") from None
     except OSError as exc:
         raise DataError(f"cannot open {kind} file {path}: {exc.strerror}") from None
+    try:
+        # decode it all now, in bounded chunks, so no loader meets a bad byte
+        while fh.read(1 << 14):
+            pass
+    except UnicodeDecodeError as exc:
+        fh.close()
+        raise FormatError(f"{kind} file {path} is not UTF-8: {exc.reason}") from None
+    fh.seek(0)
+    return fh
+
+
+def open_output(path: str, kind: str) -> IO[str]:
+    """Open a file the user named for writing as UTF-8 text; a path that
+    cannot be written is a DataError naming the kind of file."""
+    try:
+        return open(path, "w", encoding="utf-8", newline="")
+    except OSError as exc:
+        raise DataError(f"cannot write {kind} file {path}: {exc.strerror}") from None
 
 
 def read_envelope(path: str, kind: str) -> Any:
@@ -33,7 +52,7 @@ def read_envelope(path: str, kind: str) -> Any:
     with open_input(path, kind) as fh:
         try:
             return json.load(fh)
-        except ValueError as exc:  # not JSON, or not UTF-8
+        except ValueError as exc:
             raise FormatError(f"{path}: not valid JSON: {exc}") from None
 
 
@@ -44,8 +63,8 @@ def check_envelope(env: Any, fmt: str, kind: str) -> None:
         raise FormatError(f"expected a {fmt} {kind} file, got format {found!r}")
 
 
-def write_envelope(path: str, env: dict) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+def write_envelope(path: str, env: dict, kind: str) -> None:
+    with open_output(path, kind) as fh:
         fh.write(canonical_json(env) + "\n")
 
 

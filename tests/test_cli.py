@@ -142,6 +142,36 @@ class TestCv:
         assert "classifier" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("key,value,named", [
+        ("hyperparameters", {"lr": 5}, "lr"),
+        ("hyperparameters", {"lr": "ab"}, "lr"),
+        ("hyperparameters", {"xx": {}}, "xx"),
+        ("hyperparameters", {"lr": {"C": -1}}, "lr.C"),
+        ("preprocess", {"stem": "no"}, "stem"),
+        ("preprocess", {"stemming": True}, "stemming"),
+    ])
+    def test_bad_section_is_usage_error_before_data_is_read(
+        self, tmp_path, capsys, key, value, named
+    ):
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps({"dataset": "ghost.csv", "subtask": 1, key: value}))
+        assert main(["cv", "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and named in err
+        assert len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("what", ["a directory", "not UTF-8"])
+    def test_unreadable_config_is_usage_error(self, tmp_path, capsys, what):
+        cfg = tmp_path / "exp.json"
+        if what == "a directory":
+            cfg.mkdir()
+        else:
+            cfg.write_bytes(b'{"dataset": "\xff"}')
+        assert main(["cv", "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(cfg) in err
+        assert len(err.splitlines()) == 1
+
     def test_null_tfidf_max_features_is_usage_error(self, workdir, capsys):
         raw = json.loads(Path(workdir["config"]).read_text())
         raw["tfidf"] = {"max_features": None}
@@ -159,6 +189,25 @@ class TestCv:
         assert main(["cv", "--config", str(cfg), "--output-dir", str(out_dir)]) == 0
         capsys.readouterr()
         assert (out_dir / "report.json").exists()
+
+class TestUnwritableOutputs:
+    """An output path that cannot be written is one `error:` line and exit 2."""
+
+    @pytest.mark.parametrize("command", ["train", "cascade-train"])
+    def test_out_in_missing_directory(self, workdir, capsys, command):
+        out = str(workdir["tmp"] / "missing_dir" / "p.json")
+        assert main([command, "--config", workdir["config"], "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot write ") and out in err
+        assert len(err.splitlines()) == 1
+
+    def test_cv_output_dir_is_a_file(self, workdir, capsys):
+        assert main(["cv", "--config", workdir["config"],
+                     "--output-dir", workdir["data"]]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot create output directory ")
+        assert len(err.splitlines()) == 1
+
 
 class TestTrainPredict:
     def test_round_trip(self, workdir, capsys):

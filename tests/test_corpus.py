@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ssd.corpus import (
+    CSV_HEADER,
     Comment,
     Dataset,
     DatasetItem,
@@ -51,8 +52,13 @@ class TestHierLabel:
         ],
     )
     def test_invariant_violations_rejected(self, support, target, group):
-        with pytest.raises(DataError):
+        with pytest.raises(DataError) as info:
             HierLabel(support, target, group)
+        # the last label given is the offending one: the error names its stage
+        stage, value = [
+            (name, v) for name, v in zip(CSV_HEADER[2:], (support, target, group)) if v
+        ][-1]
+        assert stage in str(info.value) and repr(value) in str(info.value)
 
     def test_incomplete_flags(self):
         assert HierLabel("SS", None, None).incomplete

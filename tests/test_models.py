@@ -451,6 +451,18 @@ class TestInputContract:
             for m, form in ((model, Xs), (other, X), (other, Xs)):
                 assert predict_proba(m, form).tobytes() == expected, name
 
+    def test_subnormal_variance_gives_finite_rbf_state(self, tmp_path):
+        # the variance, 1.7e-314, is subnormal: 1/variance overflows, so
+        # gamma="scale" falls back to 1.0 as for a zero variance
+        X = np.array([[0.0], [0.0], [0.0], [3.0e-157]])
+        model = train_svm_rbf(X, ["a", "b", "a", "b"], self.spec("svm_rbf"))
+        assert model.state["gamma"] == 1.0
+        path = tmp_path / "rbf.json"
+        save_model(model, str(path))
+        proba = predict_proba(load_model(str(path)), X)
+        assert np.isfinite(proba).all()
+        assert proba.tobytes() == predict_proba(model, X).tobytes()
+
     @pytest.mark.parametrize("family", ["svm_rbf", "dt", "rf"])
     def test_densify_budget_bounds_training_and_prediction(self, family):
         X, y = blobs(n=20, seed=30)

@@ -5,8 +5,10 @@ import re
 
 import pytest
 
-from ssd import cascade, corpus, features, ingest, models, pipeline, preprocess
+from ssd import cascade, corpus, features, ingest, models, pipeline, preprocess, util
 from ssd.errors import DataError, FormatError
+
+from conftest import make_support_corpus
 
 
 def _valence(tmp_path):
@@ -34,7 +36,7 @@ LOADERS = [
 ]
 
 
-@pytest.mark.parametrize("what", ["missing", "directory"])
+@pytest.mark.parametrize("what", ["missing", "directory", "not UTF-8"])
 @pytest.mark.parametrize(
     "kind,suffix,load", LOADERS, ids=[f"{k}{s}" for k, s, _ in LOADERS]
 )
@@ -42,6 +44,8 @@ def test_unopenable_input_is_a_data_error(tmp_path, kind, suffix, load, what):
     path = tmp_path / f"input{suffix}"
     if what == "directory":
         path.mkdir()
+    if what == "not UTF-8":
+        path.write_bytes(b"id\xff\xfe\n")
     with pytest.raises(DataError, match=re.escape(f"{kind} file")) as info:
         load(str(path), tmp_path)
     assert str(path) in str(info.value)
@@ -58,3 +62,25 @@ def test_unreadable_envelope_is_a_format_error(tmp_path, kind, suffix, load, bod
     path.write_bytes(body)
     with pytest.raises(FormatError):
         load(str(path), tmp_path)
+
+
+WRITERS = [
+    ("dataset", ".csv", lambda p: corpus.write_dataset(make_support_corpus(4), p)),
+    ("dataset", ".jsonl", lambda p: corpus.write_dataset(make_support_corpus(4), p)),
+    ("comments", ".csv", lambda p: ingest.write_comments_csv([], p)),
+    ("cascade", ".json", lambda p: util.write_envelope(p, {}, "cascade")),
+]
+
+
+@pytest.mark.parametrize("what", ["in a missing directory", "a directory"])
+@pytest.mark.parametrize(
+    "kind,suffix,write", WRITERS, ids=[f"{k}{s}" for k, s, _ in WRITERS]
+)
+def test_unwritable_output_is_a_data_error(tmp_path, kind, suffix, write, what):
+    path = tmp_path / f"output{suffix}"
+    if what == "a directory":
+        path.mkdir()
+    else:
+        path = tmp_path / "missing" / path.name
+    with pytest.raises(DataError, match=re.escape(f"cannot write {kind} file {path}")):
+        write(str(path))
