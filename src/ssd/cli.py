@@ -30,7 +30,13 @@ from .pipeline import (
     save_pipeline,
 )
 from .preprocess import default_config
-from .util import canonical_json, format_table, open_input, open_output
+from .util import (
+    canonical_json,
+    check_output,
+    format_table,
+    open_input,
+    open_output,
+)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -200,6 +206,7 @@ def _cmd_cv(args) -> int:
 
 def _cmd_train(args) -> int:
     cfg = _load_config(args)
+    check_output(args.out, "pipeline")
     from .corpus import stage_view
 
     ds = load_dataset(cfg.dataset)
@@ -256,6 +263,7 @@ def _cmd_predict(args) -> int:
 
 def _cmd_cascade_train(args) -> int:
     cfg = _load_config(args)
+    check_output(args.out, "cascade")
     ds = load_dataset(cfg.dataset)
     model = casc.train_cascade(ds, cfg, model_name=args.model)
     casc.save_cascade(model, args.out)

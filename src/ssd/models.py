@@ -16,6 +16,14 @@ svm_rbf, dt and rf work on a dense array, made within their
 output depends on the values of the input, not on its storage. lr,
 svm_linear and svm_rbf share one one-vs-rest loop; a decision tree is the
 one-tree, no-bootstrap case of the forest trainer.
+
+Trees search a node's splits with array code, a chunk of features at a
+time within a fixed element budget, and route rows to their leaves one
+tree level at a time. Both give, bit for bit, what a loop over every
+threshold and a loop over every row give (the tests keep those loops as
+oracles): the same trees, the same RNG draws, the same probabilities. A
+trainer whose fitted state is not finite raises `DataError` instead of
+returning a model that cannot be saved.
 """
 
 from __future__ import annotations
@@ -197,12 +205,32 @@ def _resolve_classes(y: Sequence[str], classes: Sequence[str] | None):
 def _train(fit_state, X, y, spec: ModelSpec, classes) -> TrainedModel:
     """What every trainer does around its family's fit: take the input
     step, resolve the classes, check the sample count, and wrap the
-    state that `fit_state(X, y, classes, spec)` returns."""
+    state that `fit_state(X, y, classes, spec)` returns once it is
+    finite."""
     X = _model_input(X, spec)
     y, classes, priors = _resolve_classes(y, classes)
     if len(y) != X.shape[0]:
         raise UsageError("X and y disagree on sample count")
-    return TrainedModel(spec, classes, priors, X.shape[1], fit_state(X, y, classes, spec))
+    state = fit_state(X, y, classes, spec)
+    if not _finite(state):
+        raise DataError(
+            f"{spec.family} training overflowed to a non-finite model; "
+            "rescale the features"
+        )
+    return TrainedModel(spec, classes, priors, X.shape[1], state)
+
+
+def _finite(value) -> bool:
+    """Whether every number in a fitted state is finite."""
+    if isinstance(value, dict):
+        return all(_finite(v) for v in value.values())
+    if isinstance(value, (list, tuple)):
+        return all(_finite(v) for v in value)
+    if isinstance(value, float):  # numpy's float64 too
+        return math.isfinite(value)
+    if isinstance(value, np.ndarray):
+        return bool(np.isfinite(value).all())
+    return True
 
 
 def _one_vs_rest(y, classes, spec: ModelSpec, negative: float, fit_binary):
@@ -477,51 +505,80 @@ def train_svm_rbf(
 # decision tree and random forest
 
 
-def _gini(counts: np.ndarray) -> float:
-    total = counts.sum()
-    if total == 0:
-        return 0.0
-    p = counts / total
-    return 1.0 - float(p @ p)
+def _gini(counts: np.ndarray) -> np.ndarray:
+    """Gini impurity `1 - p.p` of each nonzero class-count vector along the
+    last axis. `p.p` is the BLAS `ddot` of one vector pair per call, as a
+    1-D `p @ p` is, which `matmul` of a row by a column gives; a row-wise
+    sum or `einsum` rounds differently in the last bit, and a last-bit
+    change in an impurity can move a split and so change the tree."""
+    p = counts / counts.sum(axis=-1, keepdims=True)
+    return 1.0 - np.matmul(p[..., None, :], p[..., None])[..., 0, 0]
+
+
+# elements of one (rows x features x classes) array in a node's split search;
+# wider nodes are searched a chunk of features at a time to stay within it
+_SPLIT_BUDGET = 1 << 18
 
 
 def _best_split(X, y_idx, rows, n_classes, max_features, rng):
-    """Lowest weighted-child-impurity split over (sampled) features;
-    ties resolved toward the lowest feature index, then lowest threshold."""
+    """Lowest weighted-child-impurity split over (sampled) features, or
+    None when every sampled feature is constant on the node.
+
+    Candidates are met feature by feature (ascending), each feature's
+    thresholds ascending, and one replaces the best so far only when its
+    weighted impurity is lower by more than 1e-15: near-ties go to the
+    lower feature index, then the lower threshold. A threshold is the
+    midpoint of two neighbouring distinct values.
+
+    A chunk of features is scored at once: a stable argsort per column,
+    cumulative class counts left and right of each split position, their
+    `_gini` (whose dot product must be `ddot`-exact, see there), and the
+    replacement rule stepped along the running minimum of the
+    impurities."""
     d = X.shape[1]
     if max_features is not None and max_features < d:
         feats = np.sort(rng.choice(d, size=max_features, replace=False))
     else:
         feats = np.arange(d)
-    parent_counts = np.bincount(y_idx[rows], minlength=n_classes)
     n = len(rows)
-    best = None  # (weighted_impurity, feature, threshold)
-    for f in feats:
-        values = X[rows, f]
-        order = np.argsort(values, kind="stable")
-        sorted_rows = rows[order]
-        sorted_values = values[order]
-        left_counts = np.zeros(n_classes)
-        right_counts = parent_counts.astype(float).copy()
-        for split_at in range(1, n):
-            cls = y_idx[sorted_rows[split_at - 1]]
-            left_counts[cls] += 1
-            right_counts[cls] -= 1
-            if sorted_values[split_at] == sorted_values[split_at - 1]:
-                continue
-            weighted = (
-                split_at * _gini(left_counts) + (n - split_at) * _gini(right_counts)
-            ) / n
-            if best is None or weighted < best[0] - 1e-15:
-                low, high = sorted_values[split_at - 1], sorted_values[split_at]
-                threshold = (low + high) / 2.0
-                if threshold >= high:
-                    # the midpoint of adjacent floats can round up to `high`,
-                    # and `x <= high` would then send every row left
-                    threshold = low
-                best = (weighted, int(f), float(threshold))
-    if best is None:
-        return None  # all sampled features constant on this node
+    onehot = np.eye(n_classes)[y_idx[rows]]
+    parent_counts = onehot.sum(axis=0)
+    split_at = np.arange(1.0, n)[:, None]  # rows left of each split position
+    # (weighted_impurity, feature, threshold); any finite impurity is lower
+    best = (np.inf, -1, 0.0)
+    step = max(1, _SPLIT_BUDGET // (n * n_classes))
+    for start in range(0, len(feats), step):
+        chunk = feats[start:start + step]
+        values = X[np.ix_(rows, chunk)]
+        order = np.argsort(values, axis=0, kind="stable")
+        values = np.take_along_axis(values, order, axis=0)
+        left = np.cumsum(onehot[order[:-1]], axis=0)
+        right = parent_counts - left
+        weighted = (split_at * _gini(left) + (n - split_at) * _gini(right)) / n
+        weighted[values[1:] == values[:-1]] = np.inf  # no threshold between ties
+        weighted = weighted.T.ravel()  # in the order the candidates are met
+        # no candidate met before the best so far is below its impurity, so
+        # the next replacement is where the running minimum first drops
+        # more than 1e-15 below it
+        falling = -np.minimum.accumulate(weighted)
+        at, bound = -1, best[0]
+        while True:
+            nxt = int(np.searchsorted(falling, -(bound - 1e-15), side="right"))
+            if nxt == len(weighted):
+                break
+            at, bound = nxt, weighted[nxt]
+        if at < 0:
+            continue
+        f, below = divmod(at, n - 1)
+        low, high = values[below, f], values[below + 1, f]
+        threshold = (low + high) / 2.0
+        if threshold >= high:
+            # the midpoint of adjacent floats can round up to `high`,
+            # and `x <= high` would then send every row left
+            threshold = low
+        best = (bound, int(chunk[f]), float(threshold))
+    if best[1] < 0:
+        return None
     return best[1], best[2]
 
 
@@ -581,16 +638,16 @@ def _grow_tree(X, y_idx, n_classes, min_split, max_depth, max_features, rng):
 
 
 def _tree_proba(tree: dict, X: np.ndarray) -> np.ndarray:
-    out = np.empty((X.shape[0], tree["proba"].shape[1]))
-    for i, row in enumerate(X):
-        node = 0
-        while tree["feature"][node] >= 0:
-            if row[tree["feature"][node]] <= tree["threshold"][node]:
-                node = tree["left"][node]
-            else:
-                node = tree["right"][node]
-        out[i] = tree["proba"][node]
-    return out
+    # every row walks down one level per step until it stands on a leaf
+    feature, threshold = tree["feature"], tree["threshold"]
+    left, right = tree["left"], tree["right"]
+    node = np.zeros(X.shape[0], dtype=np.int64)
+    live = np.flatnonzero(feature[node] >= 0)
+    while live.size:
+        at = node[live]
+        node[live] = np.where(X[live, feature[at]] <= threshold[at], left[at], right[at])
+        live = live[feature[node[live]] >= 0]
+    return tree["proba"][node]
 
 
 def _resolve_max_features(value, d: int) -> int | None:

@@ -192,6 +192,13 @@ def config_from_dict(raw: dict, base_dir: str = ".") -> ExperimentConfig:
     if unknown:
         raise UsageError(f"unknown lexicon keys: {sorted(unknown)}")
 
+    for key in ("features", "models", "ensemble_members"):
+        # tuple("lr") would quietly split a bare string into characters
+        if isinstance(raw.get(key), str):
+            raise UsageError(
+                f"config key {key!r} must be a list, got the string {raw[key]!r}"
+            )
+
     def _path(p):
         return os.path.normpath(p if os.path.isabs(p) else os.path.join(base_dir, p))
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 from typing import IO, Any, Iterable, Sequence
 
 import numpy as np
@@ -38,13 +39,23 @@ def open_input(path: str, kind: str, newline: str | None = None) -> IO[str]:
     return fh
 
 
-def open_output(path: str, kind: str) -> IO[str]:
+def open_output(path: str, kind: str, mode: str = "w") -> IO[str]:
     """Open a file the user named for writing as UTF-8 text; a path that
     cannot be written is a DataError naming the kind of file."""
     try:
-        return open(path, "w", encoding="utf-8", newline="")
+        return open(path, mode, encoding="utf-8", newline="")
     except OSError as exc:
         raise DataError(f"cannot write {kind} file {path}: {exc.strerror}") from None
+
+
+def check_output(path: str, kind: str) -> None:
+    """Raise now the DataError that `open_output` would raise later, so a
+    long job does not run for an output it cannot write. Whatever is at
+    `path` stays as it was."""
+    existed = os.path.lexists(path)
+    open_output(path, kind, "a").close()
+    if not existed:
+        os.remove(path)
 
 
 def read_envelope(path: str, kind: str) -> Any:
@@ -64,8 +75,10 @@ def check_envelope(env: Any, fmt: str, kind: str) -> None:
 
 
 def write_envelope(path: str, env: dict, kind: str) -> None:
+    # serialize first, so a value JSON cannot hold leaves the file untouched
+    text = canonical_json(env) + "\n"
     with open_output(path, kind) as fh:
-        fh.write(canonical_json(env) + "\n")
+        fh.write(text)
 
 
 def sha256_hex(data: bytes | str) -> str:

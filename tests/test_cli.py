@@ -7,6 +7,7 @@ import pytest
 
 from ssd.cli import main
 from ssd.corpus import write_dataset
+from ssd.errors import DataError
 from ssd.ingest import API_KEY_ENV
 
 from conftest import make_support_corpus
@@ -160,6 +161,17 @@ class TestCv:
         assert err.startswith("error: ") and named in err
         assert len(err.splitlines()) == 1
 
+    @pytest.mark.parametrize("key,value", [
+        ("models", "lr"), ("features", "tfidf"), ("ensemble_members", "rf"),
+    ])
+    def test_bare_string_for_a_list_is_usage_error(self, tmp_path, capsys, key, value):
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps({"dataset": "ghost.csv", "subtask": 1, key: value}))
+        assert main(["cv", "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+        assert repr(key) in err and "must be a list" in err
+
     @pytest.mark.parametrize("what", ["a directory", "not UTF-8"])
     def test_unreadable_config_is_usage_error(self, tmp_path, capsys, what):
         cfg = tmp_path / "exp.json"
@@ -200,6 +212,35 @@ class TestUnwritableOutputs:
         err = capsys.readouterr().err
         assert err.startswith("error: cannot write ") and out in err
         assert len(err.splitlines()) == 1
+
+    FITS = {"train": "ssd.cli.fit_pipeline", "cascade-train": "ssd.cascade.train_cascade"}
+
+    @pytest.mark.parametrize("command", ["train", "cascade-train"])
+    def test_unwritable_out_fails_before_fitting(self, workdir, capsys, monkeypatch,
+                                                  command):
+        def no_fit(*args, **kwargs):
+            raise AssertionError("fitted before checking --out")
+
+        monkeypatch.setattr(self.FITS[command], no_fit)
+        out = str(workdir["tmp"] / "missing_dir" / "p.json")
+        assert main([command, "--config", workdir["config"], "--out", out]) == 2
+        assert capsys.readouterr().err.startswith("error: cannot write ")
+
+    @pytest.mark.parametrize("command", ["train", "cascade-train"])
+    def test_failed_fit_leaves_out_as_it_was(self, workdir, capsys, monkeypatch,
+                                             command):
+        def failing_fit(*args, **kwargs):
+            raise DataError("the fit failed")
+
+        monkeypatch.setattr(self.FITS[command], failing_fit)
+        new = workdir["tmp"] / "new.json"
+        assert main([command, "--config", workdir["config"], "--out", str(new)]) == 2
+        assert not new.exists()
+        old = workdir["tmp"] / "old.json"
+        old.write_text("kept")
+        assert main([command, "--config", workdir["config"], "--out", str(old)]) == 2
+        assert old.read_text() == "kept"
+        capsys.readouterr()
 
     def test_cv_output_dir_is_a_file(self, workdir, capsys):
         assert main(["cv", "--config", workdir["config"],

@@ -192,6 +192,183 @@ class TestTrees:
         assert model_to_envelope(a) != model_to_envelope(c)
 
 
+# ---------------------------------------------------------------------------
+# the array split search and tree walk agree with the loops they replaced
+
+
+def _oracle_gini(counts):
+    total = counts.sum()
+    if total == 0:
+        return 0.0
+    p = counts / total
+    return 1.0 - float(p @ p)
+
+
+def _oracle_best_split(X, y_idx, rows, n_classes, max_features, rng):
+    """The split search as one Python loop over every threshold of every
+    sampled feature."""
+    d = X.shape[1]
+    if max_features is not None and max_features < d:
+        feats = np.sort(rng.choice(d, size=max_features, replace=False))
+    else:
+        feats = np.arange(d)
+    parent_counts = np.bincount(y_idx[rows], minlength=n_classes)
+    n = len(rows)
+    best = None
+    for f in feats:
+        values = X[rows, f]
+        order = np.argsort(values, kind="stable")
+        sorted_rows = rows[order]
+        sorted_values = values[order]
+        left_counts = np.zeros(n_classes)
+        right_counts = parent_counts.astype(float).copy()
+        for split_at in range(1, n):
+            cls = y_idx[sorted_rows[split_at - 1]]
+            left_counts[cls] += 1
+            right_counts[cls] -= 1
+            if sorted_values[split_at] == sorted_values[split_at - 1]:
+                continue
+            weighted = (
+                split_at * _oracle_gini(left_counts)
+                + (n - split_at) * _oracle_gini(right_counts)
+            ) / n
+            if best is None or weighted < best[0] - 1e-15:
+                low, high = sorted_values[split_at - 1], sorted_values[split_at]
+                threshold = (low + high) / 2.0
+                if threshold >= high:
+                    threshold = low
+                best = (weighted, int(f), float(threshold))
+    if best is None:
+        return None
+    return best[1], best[2]
+
+
+def _oracle_tree_proba(tree, X):
+    """The tree walk as one Python loop over rows."""
+    out = np.empty((X.shape[0], tree["proba"].shape[1]))
+    for i, row in enumerate(X):
+        node = 0
+        while tree["feature"][node] >= 0:
+            if row[tree["feature"][node]] <= tree["threshold"][node]:
+                node = tree["left"][node]
+            else:
+                node = tree["right"][node]
+        out[i] = tree["proba"][node]
+    return out
+
+
+NODE_KINDS = ("continuous", "discrete", "mostly_zero", "adjacent")
+
+
+def node_matrix(kind, n, d, seed):
+    """n x d values of one kind; about a fifth of the columns constant."""
+    rng = np.random.default_rng(seed)
+    if kind == "continuous":
+        X = rng.normal(size=(n, d))
+    elif kind == "discrete":  # many ties
+        X = rng.integers(0, 4, size=(n, d)).astype(float)
+    elif kind == "mostly_zero":  # 98% zeros of either sign, like TF-IDF
+        zeros = np.where(rng.random((n, d)) < 0.5, 0.0, -0.0)
+        X = np.where(rng.random((n, d)) < 0.02, rng.random((n, d)), zeros)
+    else:  # neighbouring floats, whose midpoint rounds up to the larger
+        low = np.nextafter(1.0, 2.0) + rng.integers(0, 3, size=d)
+        X = np.where(rng.random((n, d)) < 0.5, low, np.nextafter(low, np.inf))
+    constant = rng.random(d) < 0.2
+    X[:, constant] = X[0, constant]
+    return X
+
+
+class TestSplitSearchOracle:
+    @pytest.mark.parametrize("n_classes", [2, 3, 4, 5])
+    def test_gini_is_the_loop_dot_product_bit_for_bit(self, n_classes):
+        # a row-wise sum or einsum differs from `ddot` on about a quarter
+        # of such vectors
+        rng = np.random.default_rng(n_classes)
+        counts = rng.integers(0, 300, size=(20_000, n_classes)).astype(float)
+        counts[:, 0] += 1
+        expected = np.array([_oracle_gini(row) for row in counts])
+        assert M._gini(counts).tobytes() == expected.tobytes()
+        stacked = counts.reshape(100, 200, n_classes)  # as the split search has them
+        assert M._gini(stacked).tobytes() == expected.tobytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_same_split_and_rng_state_as_the_loop(self, data):
+        kind = data.draw(st.sampled_from(NODE_KINDS), label="kind")
+        n_rows = data.draw(st.integers(1, 60), label="rows")
+        d = data.draw(st.integers(1, 12), label="features")
+        n_classes = data.draw(st.integers(2, 4), label="classes")
+        seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+        X = node_matrix(kind, n_rows + 5, d, seed)
+        rng = np.random.default_rng(seed)
+        y_idx = rng.integers(0, n_classes, size=n_rows + 5)
+        rows = rng.permutation(n_rows + 5)[:n_rows]
+        max_features = data.draw(st.sampled_from(
+            [None, int(np.ceil(np.sqrt(d))), int(rng.integers(1, d + 1))]),
+            label="max_features")
+        # a budget of a few features forces several chunks per node
+        budget = data.draw(st.sampled_from(
+            [M._SPLIT_BUDGET, n_rows * n_classes * int(rng.integers(1, 4))]),
+            label="budget")
+        ours, theirs = derive_rng(seed, "split"), derive_rng(seed, "split")
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(M, "_SPLIT_BUDGET", budget)
+            got = M._best_split(X, y_idx, rows, n_classes, max_features, ours)
+        assert got == _oracle_best_split(X, y_idx, rows, n_classes, max_features, theirs)
+        assert ours.bit_generator.state == theirs.bit_generator.state
+
+    def test_best_split_in_an_earlier_chunk_survives_later_ties(self, monkeypatch):
+        rng = np.random.default_rng(7)
+        y_idx = np.repeat([0, 1], 20)
+        X = rng.normal(size=(40, 9))
+        # feature 1 separates the classes; feature 7, four chunks later,
+        # separates them just as well and must not replace it
+        X[:, 1] = np.where(y_idx == 0, -1.0, 1.0) + rng.normal(0, 0.1, 40)
+        X[:, 7] = X[:, 1] * 3.0
+        rows = np.arange(40)
+        monkeypatch.setattr(M, "_SPLIT_BUDGET", 40 * 2 * 2)  # two features a chunk
+        got = M._best_split(X, y_idx, rows, 2, None, None)
+        assert got == _oracle_best_split(X, y_idx, rows, 2, None, None)
+        assert got[0] == 1
+
+    def test_constant_node_has_no_split(self):
+        X = np.ones((5, 3))
+        rows = np.arange(5)
+        assert M._best_split(X, np.array([0, 1, 0, 1, 0]), rows, 2, None, None) is None
+
+    TREE_SPECS = (
+        ("dt", {}),
+        ("dt", {"max_depth": 3, "min_samples_split": 4, "max_features": 2}),
+        ("rf", {"n_trees": 4}),
+    )
+
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data())
+    def test_trees_and_probabilities_match_the_loops(self, data):
+        kind = data.draw(st.sampled_from(NODE_KINDS), label="kind")
+        n = data.draw(st.integers(4, 40), label="rows")
+        d = data.draw(st.integers(1, 6), label="features")
+        n_classes = data.draw(st.integers(2, 4), label="classes")
+        seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+        X = node_matrix(kind, 2 * n, d, seed)
+        fit, unseen = X[:n], X[n:]
+        labels = "abcd"[:n_classes]
+        y = list(labels[:2]) + [labels[i % n_classes]
+                                for i in np.random.default_rng(seed).integers(0, 4, n - 2)]
+        for family, hyper in self.TREE_SPECS:
+            spec = make_spec(family, seed=seed % 1000, **hyper)
+            model = TRAINERS[family](fit, y, spec)
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(M, "_best_split", _oracle_best_split)
+                mp.setattr(M, "_tree_proba", _oracle_tree_proba)
+                oracle = TRAINERS[family](fit, y, spec)
+                oracle_proba = [predict_proba(oracle, Z) for Z in (fit, unseen)]
+            assert canonical_json(model_to_envelope(model)) == \
+                canonical_json(model_to_envelope(oracle)), (family, hyper)
+            for Z, expected in zip((fit, unseen), oracle_proba):
+                assert predict_proba(model, Z).tobytes() == expected.tobytes()
+
+
 class TestProbabilities:
     @pytest.mark.parametrize("family", sorted(TRAINERS))
     def test_rows_sum_to_one(self, family):
@@ -354,6 +531,22 @@ class TestNonFiniteInput:
         for score in (predict_proba, predict):
             with pytest.raises(DataError, match="NaN or infinite"):
                 score(model, self.corrupt(X, bad, layout))
+
+    @pytest.mark.parametrize("family", sorted(TRAINERS))
+    def test_non_finite_fitted_state_is_data_error(self, family):
+        # finite input whose scale overflows a trainer's arithmetic
+        X = np.array([[1e300], [-1e300], [1e300], [-1e300]])
+        with warnings.catch_warnings(), np.errstate(all="ignore"):
+            warnings.simplefilter("ignore")
+            try:
+                model = TRAINERS[family](X, ["a", "b", "a", "b"], make_spec(family))
+            except DataError as exc:
+                assert family in str(exc) and "non-finite" in str(exc)
+                return
+        assert family != "svm_linear"  # Pegasos's weights overflow here
+        envelope = model_to_envelope(model)
+        assert canonical_json(model_to_envelope(model_from_envelope(envelope))) == \
+            canonical_json(envelope)
 
 
 class TestSerialization:
