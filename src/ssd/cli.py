@@ -16,14 +16,12 @@ from . import evaluation as ev
 from . import ingest
 from .corpus import CSV_HEADER, SUBTASKS, dataset_stats, load_dataset
 from .errors import DataError, SsdError, UsageError
-from .features import (
-    load_category_lexicon,
-    load_emotion_lexicon,
-    load_valence_lexicon,
-)
 from .pipeline import (
+    LEXICON_BLOCKS,
+    LEXICON_PATH_KEYS,
     LexiconSet,
     fit_pipeline,
+    lexicons_from_paths,
     load_experiment_config,
     load_pipeline,
     predict_pipeline,
@@ -143,19 +141,14 @@ def _cmd_stats(args) -> int:
 
 
 def _profile_lexicons(args) -> LexiconSet:
-    category = load_category_lexicon(args.category) if args.category else None
-    emotion = load_emotion_lexicon(args.emotion) if args.emotion else None
-    valence = (
-        load_valence_lexicon(args.valence, args.negators, args.boosters)
-        if args.valence
-        else None
-    )
-    if category is None and emotion is None and valence is None:
+    paths = {key: getattr(args, key) for key in LEXICON_PATH_KEYS if getattr(args, key)}
+    blocks = [block for block, row in LEXICON_BLOCKS.items() if row.key in paths]
+    if not blocks:
         raise UsageError(
             "profile needs at least one lexicon "
             "(--category, --emotion, or --valence)"
         )
-    return LexiconSet(category, emotion, valence)
+    return lexicons_from_paths(paths, blocks)
 
 
 def _cmd_profile(args) -> int:

@@ -22,8 +22,8 @@ from .corpus import (
     SUBTASKS, Dataset, load_dataset, stage_view, stratified_kfold_labels,
 )
 from .errors import DataError, UsageError
-from .features import EMOTIONS, SENTIMENT_NAMES
 from .pipeline import (
+    LEXICON_BLOCKS,
     ExperimentConfig,
     LexiconSet,
     _feature_matrix,
@@ -483,11 +483,6 @@ class ProfileReport:
 
     def to_text(self) -> str:
         # Tables are feature-major: one row per feature, one column per label.
-        titles = {
-            "liwc": "Category features (mean per label)",
-            "emotion": "Emotion counts (mean per label)",
-            "sentiment": "Sentiment proportions (mean per label)",
-        }
         chunks = []
         header_counts = ", ".join(
             f"{label} n={n}" for label, n in zip(self.labels, self.counts)
@@ -498,7 +493,7 @@ class ProfileReport:
                 [feat] + [_fmt(table[j][i]) for j in range(len(self.labels))]
                 for i, feat in enumerate(features)
             ]
-            chunks.append(titles.get(name, name))
+            chunks.append(LEXICON_BLOCKS[name].title)
             chunks.append(format_table(["feature"] + list(self.labels), rows))
         return "\n\n".join(chunks) + "\n"
 
@@ -517,15 +512,10 @@ def profile_features(
     streams = [normalize(t, pc) for t in view.texts()]
     groups = {c: [i for i, y in enumerate(labels) if y == c] for c in classes}
 
-    lex = {"liwc": lexicons.category, "emotion": lexicons.emotion,
-           "sentiment": lexicons.valence}
-    names = {"emotion": EMOTIONS, "sentiment": SENTIMENT_NAMES}
-    if lexicons.category is not None:
-        names["liwc"] = ("WC",) + lexicons.category.names
-    present = [block for block, lx in lex.items() if lx is not None]
+    columns = {block: row.columns(lex) for block, row, lex in lexicons.present()}
     blocks = {
-        block: (names[block], np.vstack([rows[groups[c]].mean(axis=0) for c in classes]))
-        for block, rows in extract_dense_blocks(streams, present, lexicons)
+        block: (columns[block], np.vstack([rows[groups[c]].mean(axis=0) for c in classes]))
+        for block, rows in extract_dense_blocks(streams, list(columns), lexicons)
     }
     return ProfileReport(
         subtask=subtask,

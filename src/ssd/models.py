@@ -49,6 +49,7 @@ from .util import (
 )
 
 MODEL_FORMAT = "ssd-model-v1"
+_OVERFLOWED = "training overflowed to a non-finite model; rescale the features"
 
 # rows x columns a dense family may densify: 800 MB of float64, enough for
 # the paper's setting of ~10k comments with up to ~10k TF-IDF columns
@@ -213,10 +214,7 @@ def _train(fit_state, X, y, spec: ModelSpec, classes) -> TrainedModel:
         raise UsageError("X and y disagree on sample count")
     state = fit_state(X, y, classes, spec)
     if not _finite(state):
-        raise DataError(
-            f"{spec.family} training overflowed to a non-finite model; "
-            "rescale the features"
-        )
+        raise DataError(f"{spec.family} {_OVERFLOWED}")
     return TrainedModel(spec, classes, priors, X.shape[1], state)
 
 
@@ -479,6 +477,9 @@ def _fit_binary_smo(K, targets, C, tol, max_passes, rng):
 def _svm_rbf_state(X, y, classes, spec: ModelSpec) -> dict:
     gamma = resolve_gamma(spec.hyper("gamma"), X)
     K = _rbf_kernel(X, X, gamma)
+    # entries lie in [0, 1], so only a NaN one (from overflow) makes the sum NaN
+    if math.isnan(K.sum()):
+        raise DataError(f"{spec.family} {_OVERFLOWED}")
     C, tol, max_passes = spec.hyper("C"), spec.hyper("tol"), spec.hyper("max_passes")
 
     def fit_binary(targets, rng):

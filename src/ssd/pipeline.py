@@ -12,15 +12,18 @@ import json
 import os
 import time
 from dataclasses import dataclass, field, replace
-from typing import Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 from scipy import sparse
 
 from . import models as M
 from .corpus import SUBTASKS
-from .errors import UsageError
+from .errors import FormatError, UsageError
 from .features import (
+    BLOCK_ORDER,
+    EMOTIONS,
+    SENTIMENT_NAMES,
     CategoryLexicon,
     EmotionLexicon,
     FeatureMatrix,
@@ -49,7 +52,6 @@ from .util import (
 
 PIPELINE_FORMAT = "ssd-pipeline-v1"
 
-FEATURE_BLOCKS = ("liwc", "emotion", "sentiment", "tfidf")
 BASE_FAMILIES = ("lr", "svm_linear", "svm_rbf", "dt", "rf")
 VOTE_KINDS = ("soft_vote", "hard_vote")
 MODEL_NAMES = BASE_FAMILIES + VOTE_KINDS
@@ -65,20 +67,85 @@ def class_order(labels: Sequence[str], subtask: int) -> tuple[str, ...]:
 
 
 @dataclass(frozen=True)
+class LexiconBlock:
+    """A lexicon-backed feature block: the lexicon it reads, and how that
+    lexicon is loaded, applied, named, saved and profiled."""
+
+    key: str  # config `lexicons` key, `profile` flag and LexiconSet field
+    loader: Callable  # takes the `key` path, then each `extra_paths` path or None
+    extractor: str  # the per-text function's name in this module
+    columns: Callable[[object], tuple[str, ...]]
+    to_json: Callable[[object], dict]  # the form embedded in saved files
+    from_json: Callable[[dict], object]
+    title: str  # the block's table heading in `profile`
+    extra_paths: tuple[str, ...] = ()
+
+
+# in features.DENSE_BLOCKS order, the order the blocks' columns take
+LEXICON_BLOCKS = {
+    "liwc": LexiconBlock(
+        key="category",
+        loader=load_category_lexicon,
+        extractor="liwc_features",
+        columns=lambda lex: ("WC",) + lex.names,
+        to_json=lambda lex: {"categories": [[n, list(p)] for n, p in lex.categories]},
+        from_json=lambda raw: CategoryLexicon(
+            tuple((name, tuple(pats)) for name, pats in raw["categories"])
+        ),
+        title="Category features (mean per label)",
+    ),
+    "emotion": LexiconBlock(
+        key="emotion",
+        loader=load_emotion_lexicon,
+        extractor="emotion_features",
+        columns=lambda lex: EMOTIONS,
+        to_json=lambda lex: {"entries": {w: sorted(es) for w, es in lex.entries.items()}},
+        from_json=lambda raw: EmotionLexicon(
+            {w: frozenset(es) for w, es in raw["entries"].items()}
+        ),
+        title="Emotion counts (mean per label)",
+    ),
+    "sentiment": LexiconBlock(
+        key="valence",
+        loader=load_valence_lexicon,
+        extractor="sentiment_scores",
+        columns=lambda lex: SENTIMENT_NAMES,
+        to_json=lambda lex: {
+            "entries": dict(sorted(lex.entries.items())),
+            "negators": sorted(lex.negators),
+            "boosters": dict(sorted(lex.boosters.items())),
+            "negation_factor": lex.negation_factor,
+        },
+        from_json=lambda raw: ValenceLexicon(
+            dict(raw["entries"]), frozenset(raw["negators"]),
+            dict(raw["boosters"]), raw["negation_factor"],
+        ),
+        title="Sentiment proportions (mean per label)",
+        extra_paths=("negators", "boosters"),
+    ),
+}
+
+# every path a config's `lexicons` object or `profile`'s flags may name
+LEXICON_PATH_KEYS = tuple(
+    k for row in LEXICON_BLOCKS.values() for k in (row.key, *row.extra_paths)
+)
+
+
+@dataclass(frozen=True)
 class LexiconSet:
     category: CategoryLexicon | None = None
     emotion: EmotionLexicon | None = None
     valence: ValenceLexicon | None = None
 
+    def present(self) -> Iterator[tuple[str, LexiconBlock, object]]:
+        """(block, row, lexicon) for each lexicon the set holds."""
+        for block, row in LEXICON_BLOCKS.items():
+            lex = getattr(self, row.key)
+            if lex is not None:
+                yield block, row, lex
+
     def fingerprints(self) -> dict[str, str]:
-        out = {}
-        if self.category is not None:
-            out["category"] = fingerprint(_category_jsonable(self.category))
-        if self.emotion is not None:
-            out["emotion"] = fingerprint(_emotion_jsonable(self.emotion))
-        if self.valence is not None:
-            out["valence"] = fingerprint(_valence_jsonable(self.valence))
-        return out
+        return {row.key: fingerprint(row.to_json(lex)) for _, row, lex in self.present()}
 
 
 @dataclass(frozen=True)
@@ -105,7 +172,7 @@ class ExperimentConfig:
         if not self.features:
             raise UsageError("at least one feature block is required")
         for f in self.features:
-            if f not in FEATURE_BLOCKS:
+            if f not in BLOCK_ORDER:
                 raise UsageError(f"unknown feature block {f!r}")
         if self.scaling not in ("none", "zscore"):
             raise UsageError(f"unknown scaling {self.scaling!r}")
@@ -120,11 +187,10 @@ class ExperimentConfig:
                     raise UsageError(f"ensemble member must be a base model, got {m!r}")
         if self.folds < 2:
             raise UsageError(f"folds must be >= 2, got {self.folds}")
-        needs_lex = {"liwc": "category", "emotion": "emotion", "sentiment": "valence"}
-        for block, key in needs_lex.items():
-            if block in self.features and key not in self.lexicon_paths:
+        for block, row in LEXICON_BLOCKS.items():
+            if block in self.features and row.key not in self.lexicon_paths:
                 raise UsageError(
-                    f"feature block {block!r} requires a {key!r} lexicon path"
+                    f"feature block {block!r} requires a {row.key!r} lexicon path"
                 )
         for family, params in self.hyperparameters.items():
             if family not in BASE_FAMILIES or not isinstance(params, dict):
@@ -172,7 +238,6 @@ _CONFIG_KEYS = {
     "lexicons", "output_dir", "ensemble_members", "hyperparameters",
     "preprocess", "tfidf",
 }
-_LEXICON_KEYS = {"category", "emotion", "valence", "negators", "boosters"}
 
 
 def config_from_dict(raw: dict, base_dir: str = ".") -> ExperimentConfig:
@@ -188,7 +253,7 @@ def config_from_dict(raw: dict, base_dir: str = ".") -> ExperimentConfig:
     lexicons = raw.get("lexicons", {})
     if not isinstance(lexicons, dict):
         raise UsageError("config key 'lexicons' must be an object")
-    unknown = set(lexicons) - _LEXICON_KEYS
+    unknown = set(lexicons) - set(LEXICON_PATH_KEYS)
     if unknown:
         raise UsageError(f"unknown lexicon keys: {sorted(unknown)}")
 
@@ -241,17 +306,15 @@ def load_experiment_config(path: str) -> ExperimentConfig:
 
 
 def load_lexicons(cfg: ExperimentConfig) -> LexiconSet:
-    paths = cfg.lexicon_paths
-    category = emotion = valence = None
-    if "liwc" in cfg.features:
-        category = load_category_lexicon(paths["category"])
-    if "emotion" in cfg.features:
-        emotion = load_emotion_lexicon(paths["emotion"])
-    if "sentiment" in cfg.features:
-        valence = load_valence_lexicon(
-            paths["valence"], paths.get("negators"), paths.get("boosters")
-        )
-    return LexiconSet(category, emotion, valence)
+    return lexicons_from_paths(cfg.lexicon_paths, cfg.features)
+
+
+def lexicons_from_paths(paths: dict, features: Sequence[str]) -> LexiconSet:
+    """The lexicon of each listed block, loaded from its `paths` entries."""
+    return LexiconSet(**{
+        row.key: row.loader(paths[row.key], *(paths.get(k) for k in row.extra_paths))
+        for block, row in LEXICON_BLOCKS.items() if block in features
+    })
 
 
 def preprocess_config(cfg: ExperimentConfig) -> PreprocessConfig:
@@ -266,21 +329,14 @@ def extract_dense_blocks(
     streams: Sequence[TokenStream], features: Sequence[str], lex: LexiconSet
 ) -> list[tuple[str, np.ndarray]]:
     blocks: list[tuple[str, np.ndarray]] = []
-    if "liwc" in features:
-        blocks.append(
-            ("liwc", np.vstack([liwc_features(ts, lex.category) for ts in streams])
-             if streams else np.empty((0, 1 + len(lex.category.categories))))
-        )
-    if "emotion" in features:
-        blocks.append(
-            ("emotion", np.vstack([emotion_features(ts, lex.emotion) for ts in streams])
-             if streams else np.empty((0, 8)))
-        )
-    if "sentiment" in features:
-        blocks.append(
-            ("sentiment", np.array([sentiment_scores(ts, lex.valence) for ts in streams])
-             if streams else np.empty((0, 3)))
-        )
+    for block, row in LEXICON_BLOCKS.items():
+        if block in features:
+            lexicon = getattr(lex, row.key)
+            # looked up at call time, since perfbench/spans.py wraps this name here
+            extract = globals()[row.extractor]
+            rows = np.array([extract(ts, lexicon) for ts in streams], dtype=float)
+            width = len(row.columns(lexicon))
+            blocks.append((block, rows.reshape(len(streams), width)))
     return blocks
 
 
@@ -437,55 +493,6 @@ def predict_pipeline(
 # serialization
 
 
-def _category_jsonable(lex: CategoryLexicon) -> dict:
-    return {"categories": [[name, list(pats)] for name, pats in lex.categories]}
-
-
-def _emotion_jsonable(lex: EmotionLexicon) -> dict:
-    return {"entries": {w: sorted(es) for w, es in lex.entries.items()}}
-
-
-def _valence_jsonable(lex: ValenceLexicon) -> dict:
-    return {
-        "entries": dict(sorted(lex.entries.items())),
-        "negators": sorted(lex.negators),
-        "boosters": dict(sorted(lex.boosters.items())),
-        "negation_factor": lex.negation_factor,
-    }
-
-
-def _lexicons_to_jsonable(lex: LexiconSet) -> dict:
-    out = {}
-    if lex.category is not None:
-        out["category"] = _category_jsonable(lex.category)
-    if lex.emotion is not None:
-        out["emotion"] = _emotion_jsonable(lex.emotion)
-    if lex.valence is not None:
-        out["valence"] = _valence_jsonable(lex.valence)
-    return out
-
-
-def _lexicons_from_jsonable(raw: dict) -> LexiconSet:
-    category = emotion = valence = None
-    if "category" in raw:
-        category = CategoryLexicon(
-            tuple((name, tuple(pats)) for name, pats in raw["category"]["categories"])
-        )
-    if "emotion" in raw:
-        emotion = EmotionLexicon(
-            {w: frozenset(es) for w, es in raw["emotion"]["entries"].items()}
-        )
-    if "valence" in raw:
-        v = raw["valence"]
-        valence = ValenceLexicon(
-            dict(v["entries"]),
-            frozenset(v["negators"]),
-            dict(v["boosters"]),
-            v["negation_factor"],
-        )
-    return LexiconSet(category, emotion, valence)
-
-
 def _preprocess_to_jsonable(pc: PreprocessConfig) -> dict:
     return {
         "lowercase": pc.lowercase,
@@ -527,7 +534,7 @@ def pipeline_to_envelope(p: FittedPipeline) -> dict:
         "subtask": p.subtask,
         "preprocess": _preprocess_to_jsonable(p.preprocess),
         "features": list(p.features),
-        "lexicons": _lexicons_to_jsonable(p.lexicons),
+        "lexicons": {row.key: row.to_json(lex) for _, row, lex in p.lexicons.present()},
         "lexicon_fingerprints": p.lexicon_fingerprints(),
         "tfidf": tfidf,
         "scaling": p.scaling,
@@ -539,9 +546,17 @@ def pipeline_to_envelope(p: FittedPipeline) -> dict:
 
 def pipeline_from_envelope(env: dict) -> FittedPipeline:
     check_envelope(env, PIPELINE_FORMAT, "pipeline")
-    lex = _lexicons_from_jsonable(env["lexicons"])
-    recorded = env.get("lexicon_fingerprints", {})
-    if recorded and recorded != lex.fingerprints():
+    embedded = env["lexicons"]
+    for block, row in LEXICON_BLOCKS.items():
+        if block in env["features"] and row.key not in embedded:
+            raise FormatError(
+                f"pipeline feature block {block!r} has no embedded {row.key!r} lexicon"
+            )
+    lex = LexiconSet(**{
+        row.key: row.from_json(embedded[row.key])
+        for row in LEXICON_BLOCKS.values() if row.key in embedded
+    })
+    if env.get("lexicon_fingerprints") != lex.fingerprints():
         raise UsageError("lexicon fingerprints do not match the embedded lexicons")
     tfidf = None
     if env["tfidf"] is not None:

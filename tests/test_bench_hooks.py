@@ -49,3 +49,28 @@ def test_instrument_then_restore(tmp_path):
     assert rec.calls("pipeline.matrix_for_family") == 2
     assert rec.calls("models.train.lr") == 1
     assert metrics["models.train_s.lr"][0] > 0
+
+
+def test_lexicon_extractors_are_traced(tmp_path, lexicon_files):
+    """Each lexicon extractor is reached through the name the trace wraps:
+    once per text, and one dense-block pass per fit and per predict."""
+    spans = _spans()
+    rec = spans.Recorder()
+    ins = spans.instrument(rec)
+    try:
+        ds = make_support_corpus(60, seed=61)
+        cfg = config_from_dict({
+            "dataset": "d.csv", "subtask": 1,
+            "features": ["liwc", "emotion", "sentiment", "tfidf"],
+            "models": ["lr"], "tfidf": {"min_df": 1},
+            "lexicons": lexicon_files,
+        }, str(tmp_path))
+        p = fit_pipeline(ds.texts(), ds.labels(1), cfg)
+        predict_pipeline(p, ds.texts()[:5])
+        metrics = spans.layer_metrics(rec)
+    finally:
+        ins.restore()
+    for block in ("liwc", "emotion", "sentiment"):
+        assert rec.calls(f"features.{block}") == 65
+        assert metrics[f"features.{block}_s"][0] > 0
+    assert rec.calls("features.dense_blocks") == 2

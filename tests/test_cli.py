@@ -288,6 +288,24 @@ class TestTrainPredict:
                      "--input", workdir["data"]]) == 2
         capsys.readouterr()
 
+    def test_listed_block_without_its_lexicon_is_format_error(self, workdir, capsys):
+        cfg = json.loads(Path(workdir["config"]).read_text())
+        cfg.update(features=["liwc", "tfidf"],
+                   lexicons={"category": workdir["lex"]["category"]})
+        Path(workdir["config"]).write_text(json.dumps(cfg))
+        model_path = workdir["tmp"] / "model.json"
+        assert main(["train", "--config", workdir["config"],
+                     "--out", str(model_path)]) == 0
+        env = json.loads(model_path.read_text())
+        del env["lexicons"]["category"]
+        env["lexicon_fingerprints"] = {}
+        model_path.write_text(json.dumps(env))
+        capsys.readouterr()
+        assert main(["predict", "--model", str(model_path),
+                     "--input", workdir["data"]]) == 2
+        err = capsys.readouterr().err
+        assert "'liwc'" in err and "'category'" in err
+
     def test_unknown_model_name(self, workdir, capsys):
         assert main(["train", "--config", workdir["config"],
                      "--model", "adaboost",

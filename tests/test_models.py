@@ -548,6 +548,17 @@ class TestNonFiniteInput:
         assert canonical_json(model_to_envelope(model_from_envelope(envelope))) == \
             canonical_json(envelope)
 
+    @pytest.mark.parametrize("scale, gamma", [(1e300, "scale"), (1e200, 1.0)])
+    def test_svm_rbf_nan_kernel_is_data_error(self, scale, gamma):
+        # every kernel entry overflows to NaN, where SMO would take no step
+        # and leave a model that predicts 0.5/0.5
+        X = np.array([[scale], [-scale], [scale], [-scale]])
+        spec = make_spec("svm_rbf", gamma=gamma)
+        with warnings.catch_warnings(), np.errstate(all="ignore"):
+            warnings.simplefilter("ignore")
+            with pytest.raises(DataError, match="svm_rbf training overflowed.*rescale"):
+                train_svm_rbf(X, ["a", "b", "a", "b"], spec)
+
 
 class TestSerialization:
     @pytest.mark.parametrize("family", sorted(TRAINERS))

@@ -1,6 +1,8 @@
 """Fitted pipeline prediction: labels come from the one scoring pass."""
 
 import importlib.util
+import itertools
+import json
 from dataclasses import replace
 from pathlib import Path
 
@@ -8,17 +10,21 @@ import pytest
 
 from ssd import models as M
 from ssd.cascade import train_cascade
-from ssd.errors import DataError
+from ssd.errors import DataError, UsageError
 from ssd.evaluation import cross_validate
+from ssd.features import DENSE_BLOCKS
 from ssd.pipeline import (
+    LEXICON_BLOCKS,
     config_from_dict,
     fit_features,
     fit_pipeline,
     load_lexicons,
+    load_pipeline,
     matrix_for_family,
     pipeline_matrix,
     predict_pipeline,
     preprocess_config,
+    save_pipeline,
 )
 from ssd.preprocess import normalize
 
@@ -142,3 +148,49 @@ def test_default_densify_budget_admits_the_paper_scale_corpus(tmp_path):
     assert n >= 9_900 and d > 2_000  # about 10 000 x 2 650
     for family in ("svm_rbf", "dt", "rf"):
         assert n * d <= M.make_spec(family).hyper("densify_budget")
+
+
+def test_lexicon_table_follows_the_dense_block_order():
+    assert tuple(LEXICON_BLOCKS) == DENSE_BLOCKS
+
+
+def _lexicon_pipeline(tmp_path, corpus, lexicon_files, blocks):
+    texts, labels, _ = corpus
+    cfg = config_from_dict({
+        "dataset": "d.csv", "subtask": 1, "features": [*blocks, "tfidf"],
+        "models": ["lr"], "tfidf": {"min_df": 1}, "lexicons": lexicon_files,
+        "hyperparameters": {"lr": {"max_iter": 20}},
+    }, str(tmp_path))
+    return fit_pipeline(texts, labels, cfg)
+
+
+@pytest.mark.parametrize("blocks", [
+    combo for k in range(len(DENSE_BLOCKS) + 1)
+    for combo in itertools.combinations(DENSE_BLOCKS, k)
+])
+def test_every_lexicon_subset_saves_and_loads(tmp_path, corpus, lexicon_files, blocks):
+    p = _lexicon_pipeline(tmp_path, corpus, lexicon_files, blocks)
+    path = tmp_path / "model.json"
+    save_pipeline(p, str(path))
+    again = load_pipeline(str(path))
+    assert again.lexicons == p.lexicons
+    assert [block for block, _, _ in again.lexicons.present()] == list(blocks)
+    unseen = corpus[2]
+    assert predict_pipeline(again, unseen)[1].tobytes() == \
+        predict_pipeline(p, unseen)[1].tobytes()
+
+
+@pytest.mark.parametrize("recorded", ["blank", "deleted"])
+def test_edited_lexicon_without_its_fingerprints_is_rejected(
+        tmp_path, corpus, lexicon_files, recorded):
+    path = tmp_path / "model.json"
+    save_pipeline(_lexicon_pipeline(tmp_path, corpus, lexicon_files, ["liwc"]), str(path))
+    env = json.loads(path.read_text())
+    env["lexicons"]["category"]["categories"][0][1].append("video")
+    if recorded == "blank":
+        env["lexicon_fingerprints"] = {}
+    else:
+        del env["lexicon_fingerprints"]
+    path.write_text(json.dumps(env))
+    with pytest.raises(UsageError, match="fingerprints do not match"):
+        load_pipeline(str(path))

@@ -1,15 +1,18 @@
-"""The README's library snippet runs and its config loads as written."""
+"""The README's commands and library snippet run, and its config loads, as
+written."""
 
 import contextlib
 import io
 import json
 import os
 import re
+import shlex
 
+from ssd.cli import main
 from ssd.corpus import write_dataset
 from ssd.pipeline import config_from_dict
 
-from conftest import make_support_corpus
+from conftest import CATEGORY_DIC, EMOTION_TSV, VALENCE_TSV, make_support_corpus
 
 README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
 
@@ -39,3 +42,35 @@ def test_config_example_loads():
     cfg = config_from_dict(raw)
     assert cfg.models == tuple(raw["models"])
     assert cfg.hyperparameters == raw["hyperparameters"]
+
+
+def test_command_line_block_runs(tmp_path, monkeypatch):
+    """Every command but `fetch` (it needs the network) exits 0, run in
+    order in one directory holding the files the commands name."""
+    ds = make_support_corpus(200, seed=41, hierarchical=True)
+    for name in ("data.csv", "a.csv", "b.csv"):
+        write_dataset(ds, str(tmp_path / name))
+    for name, text in (("liwc.dic", CATEGORY_DIC), ("emo.tsv", EMOTION_TSV),
+                       ("val.tsv", VALENCE_TSV)):
+        (tmp_path / name).write_text(text)
+    (tmp_path / "exp.json").write_text(json.dumps({
+        "dataset": "data.csv", "subtask": 1,
+        "features": ["tfidf", "liwc", "emotion", "sentiment"],
+        "scaling": "zscore", "models": ["lr"], "folds": 2,
+        "lexicons": {"category": "liwc.dic", "emotion": "emo.tsv",
+                     "valence": "val.tsv"},
+        "tfidf": {"min_df": 1}, "hyperparameters": {"lr": {"max_iter": 50}},
+    }))
+    texts = make_support_corpus(6, seed=42).texts()
+    (tmp_path / "new.csv").write_text(
+        "id,text\n" + "".join(f"n{i},{t}\n" for i, t in enumerate(texts)))
+    (tmp_path / "comments.txt").write_text("".join(f"{t}\n" for t in texts))
+    monkeypatch.chdir(tmp_path)
+    ran = []
+    for line in readme_block("## Command line", "sh").splitlines():
+        args = shlex.split(line, comments=True)
+        assert args[0] == "ssd"
+        if args[1] != "fetch":
+            assert main(args[1:]) == 0, line
+            ran.append(args[1])
+    assert len(ran) == 8
