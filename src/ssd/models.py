@@ -1,11 +1,11 @@
 """From-scratch classifiers behind one train/predict/probability contract.
 
-Five families: one-vs-rest logistic regression (full-batch gradient descent
-with a backtracking step size, so the recorded loss trace never increases),
-one-vs-rest linear SVM (Pegasos subgradient schedule), one-vs-rest RBF
-kernel SVM (simplified sequential minimal optimization), a CART decision
-tree, and a bagged random forest. Soft and hard voting combine trained
-models.
+Five families: one-vs-rest logistic regression (truncated Newton-CG on
+Hessian-vector products, with an Armijo line search on the exact objective,
+so the recorded loss trace never increases), one-vs-rest linear SVM
+(Pegasos subgradient schedule), one-vs-rest RBF kernel SVM (simplified
+sequential minimal optimization), a CART decision tree, and a bagged random
+forest. Soft and hard voting combine trained models.
 
 This module alone decides what a model sees. Every trainer and
 `predict_proba` take any finite 2-D matrix, sparse or dense, through one
@@ -56,7 +56,7 @@ _OVERFLOWED = "training overflowed to a non-finite model; rescale the features"
 _DENSIFY_BUDGET = 100_000_000
 
 _HYPER_DEFAULTS: dict[str, dict] = {
-    "lr": {"C": 1.0, "learning_rate": 0.1, "max_iter": 1000, "tol": 1e-6},
+    "lr": {"C": 1.0, "max_iter": 1000, "tol": 1e-6},
     "svm_linear": {"lam": 1e-4, "epochs": 50},
     "svm_rbf": {
         "C": 1.0,
@@ -81,7 +81,7 @@ _HYPER_DEFAULTS: dict[str, dict] = {
 
 
 def _check_hyper(family: str, name: str, value) -> None:
-    positive = {"C", "learning_rate", "lam"}
+    positive = {"C", "lam"}
     at_least_one = {"max_iter", "epochs", "max_passes", "n_trees", "densify_budget"}
     if name in positive and not (isinstance(value, (int, float)) and value > 0):
         raise UsageError(f"{family}.{name} must be positive, got {value!r}")
@@ -278,28 +278,85 @@ def lr_objective_grad(w: np.ndarray, b: float, X, targets: np.ndarray, C: float)
     return loss, np.asarray(grad_w).ravel(), grad_b
 
 
-def _fit_binary_lr(X, targets, C, learning_rate, max_iter, tol):
-    w = np.zeros(X.shape[1])
-    b = 0.0
-    step = learning_rate
-    loss, gw, gb = lr_objective_grad(w, b, X, targets, C)
+# CG products per Newton step, at most; the forcing tolerance usually stops
+# CG after about ten
+_CG_MAX_ITER = 200
+# the Armijo line search accepts a step that achieves this share of the
+# decrease its slope predicts
+_ARMIJO = 1e-4
+
+
+def _lr_hessian_product(X, D, C: float, v: np.ndarray) -> np.ndarray:
+    """H v for `lr_objective_grad`'s objective over (w, b), where D = p (1 - p)
+    at the current point and the bias is the last, unregularized coordinate.
+    X.T is a transposed view: sparse input gets no transposed copy."""
+    n = X.shape[0]
+    u = D * (X @ v[:-1] + v[-1])
+    return np.append(X.T @ u / n + v[:-1] / (C * n), u.sum() / n)
+
+
+def _newton_direction(hess_product, g: np.ndarray) -> np.ndarray:
+    """Conjugate gradient on H s = -g from s = 0, stopped at the forcing
+    tolerance ||r|| <= min(0.5, sqrt(||g||)) ||g||, at a direction of no
+    positive curvature, or after _CG_MAX_ITER products (at most one per
+    coordinate, after which exact CG has converged). Every CG iterate
+    descends, so the step falls back to -g only if none was taken."""
+    g_norm = float(np.linalg.norm(g))
+    forcing = min(0.5, math.sqrt(g_norm)) * g_norm
+    s = np.zeros_like(g)
+    r = -g
+    d = r.copy()
+    rr = float(r @ r)
+    for _ in range(min(len(g), _CG_MAX_ITER)):
+        Hd = hess_product(d)
+        curvature = float(d @ Hd)
+        if curvature <= 0.0:
+            break
+        alpha = rr / curvature
+        s += alpha * d
+        r -= alpha * Hd
+        rr_next = float(r @ r)
+        if math.sqrt(rr_next) <= forcing:
+            break
+        d = r + (rr_next / rr) * d
+        rr = rr_next
+    return s if s.any() else -g
+
+
+def _fit_binary_lr(X, targets, C, max_iter, tol):
+    """Truncated Newton-CG (Lin, Weng & Keerthi, JMLR 2008) on
+    `lr_objective_grad`'s objective, from w = 0, b = 0. Each step solves the
+    Newton system by CG on Hessian-vector products, then backtracks from
+    the full step until the exact objective meets the Armijo condition, so
+    the trace of accepted losses never increases. Stops when a step
+    improves the loss by less than tol, after max_iter steps, at a zero
+    gradient (a minimum), or when no step decreases the loss."""
+    theta = np.zeros(X.shape[1] + 1)
+    loss, gw, gb = lr_objective_grad(theta[:-1], 0.0, X, targets, C)
+    g = np.append(gw, gb)
     trace = [loss]
     for _ in range(max_iter):
+        if not g.any():
+            break
+        p = expit(X @ theta[:-1] + theta[-1])
+        D = p * (1.0 - p)
+        s = _newton_direction(lambda v: _lr_hessian_product(X, D, C, v), g)
+        slope = float(g @ s)
+        step = 1.0
         while True:
-            w2 = w - step * gw
-            b2 = b - step * gb
-            loss2, gw2, gb2 = lr_objective_grad(w2, b2, X, targets, C)
-            if loss2 <= loss:
+            trial = theta + step * s
+            loss2, gw2, gb2 = lr_objective_grad(trial[:-1], trial[-1], X, targets, C)
+            if loss2 <= loss + _ARMIJO * step * slope:
                 break
             step *= 0.5
             if step < 1e-12:
-                return w, b, trace
+                return theta[:-1], float(theta[-1]), trace
         improvement = loss - loss2
-        w, b, loss, gw, gb = w2, b2, loss2, gw2, gb2
+        theta, loss, g = trial, loss2, np.append(gw2, gb2)
         trace.append(loss)
         if improvement < tol:
             break
-    return w, b, trace
+    return theta[:-1], float(theta[-1]), trace
 
 
 LR_CAPPED_WARNING = (
@@ -310,7 +367,7 @@ LR_CAPPED_WARNING = (
 
 def _lr_state(X, y, classes, spec: ModelSpec) -> dict:
     max_iter = spec.hyper("max_iter")
-    hyper = (spec.hyper("C"), spec.hyper("learning_rate"), max_iter, spec.hyper("tol"))
+    hyper = (spec.hyper("C"), max_iter, spec.hyper("tol"))
     machines, present = _one_vs_rest(
         y, classes, spec, 0.0, lambda targets, rng: _fit_binary_lr(X, targets, *hyper)
     )

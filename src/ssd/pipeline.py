@@ -544,45 +544,65 @@ def pipeline_to_envelope(p: FittedPipeline) -> dict:
     }
 
 
+def _tfidf_from_jsonable(t: dict | None) -> TfidfVectorizer | None:
+    if t is None:
+        return None
+    return TfidfVectorizer(
+        {k: int(v) for k, v in t["vocabulary"].items()},
+        np.array(t["idf"], dtype=float),
+        int(t["min_df"]),
+        int(t["max_features"]),
+    )
+
+
+def _scaler_from_jsonable(raw: dict | None) -> Scaler | None:
+    if raw is None:
+        return None
+    return Scaler(np.array(raw["mean"], dtype=float), np.array(raw["std"], dtype=float))
+
+
+def _names(raw: list) -> tuple[str, ...]:
+    if not isinstance(raw, list) or not all(isinstance(v, str) for v in raw):
+        raise TypeError(f"expected a list of names, got {raw!r}")
+    return tuple(raw)
+
+
+def _section(name: str, read: Callable[[], object]):
+    """`read()` of one section of a saved pipeline, whose missing or
+    mistyped parts are a FormatError that names the section."""
+    try:
+        return read()
+    except (KeyError, IndexError, TypeError, ValueError, AttributeError) as exc:
+        raise FormatError(
+            f"saved pipeline section {name!r} is missing or malformed: {exc!r}"
+        ) from None
+
+
 def pipeline_from_envelope(env: dict) -> FittedPipeline:
     check_envelope(env, PIPELINE_FORMAT, "pipeline")
-    embedded = env["lexicons"]
+    features = _section("features", lambda: _names(env["features"]))
+    embedded = _section("lexicons", lambda: dict(env["lexicons"]))
     for block, row in LEXICON_BLOCKS.items():
-        if block in env["features"] and row.key not in embedded:
+        if block in features and row.key not in embedded:
             raise FormatError(
                 f"pipeline feature block {block!r} has no embedded {row.key!r} lexicon"
             )
     lex = LexiconSet(**{
-        row.key: row.from_json(embedded[row.key])
+        row.key: _section(f"lexicons.{row.key}", lambda: row.from_json(embedded[row.key]))
         for row in LEXICON_BLOCKS.values() if row.key in embedded
     })
     if env.get("lexicon_fingerprints") != lex.fingerprints():
         raise UsageError("lexicon fingerprints do not match the embedded lexicons")
-    tfidf = None
-    if env["tfidf"] is not None:
-        t = env["tfidf"]
-        tfidf = TfidfVectorizer(
-            {k: int(v) for k, v in t["vocabulary"].items()},
-            np.array(t["idf"], dtype=float),
-            int(t["min_df"]),
-            int(t["max_features"]),
-        )
-    scaler = None
-    if env["scaler"] is not None:
-        scaler = Scaler(
-            np.array(env["scaler"]["mean"], dtype=float),
-            np.array(env["scaler"]["std"], dtype=float),
-        )
     return FittedPipeline(
-        int(env["subtask"]),
-        _preprocess_from_jsonable(env["preprocess"]),
-        tuple(env["features"]),
+        _section("subtask", lambda: int(env["subtask"])),
+        _section("preprocess", lambda: _preprocess_from_jsonable(env["preprocess"])),
+        features,
         lex,
-        tfidf,
-        env["scaling"],
-        scaler,
-        M.model_from_envelope(env["model"]),
-        tuple(env["classes"]),
+        _section("tfidf", lambda: _tfidf_from_jsonable(env["tfidf"])),
+        _section("scaling", lambda: env["scaling"]),
+        _section("scaler", lambda: _scaler_from_jsonable(env["scaler"])),
+        _section("model", lambda: M.model_from_envelope(env["model"])),
+        _section("classes", lambda: _names(env["classes"])),
     )
 
 

@@ -49,6 +49,9 @@ def test_instrument_then_restore(tmp_path):
     assert rec.calls("pipeline.matrix_for_family") == 2
     assert rec.calls("models.train.lr") == 1
     assert metrics["models.train_s.lr"][0] > 0
+    # Newton-CG converges well inside max_iter=1000 on both machines
+    assert metrics["models.lr_capped"][0] == 0
+    assert 0 < metrics["models.lr_iters"][0] < 200
 
 
 def test_lexicon_extractors_are_traced(tmp_path, lexicon_files):

@@ -150,6 +150,7 @@ class TestCv:
         ("hyperparameters", {"lr": {"C": -1}}, "lr.C"),
         ("preprocess", {"stem": "no"}, "stem"),
         ("preprocess", {"stemming": True}, "stemming"),
+        ("hyperparameters", {"lr": {"learning_rate": 0.1}}, "learning_rate"),
     ])
     def test_bad_section_is_usage_error_before_data_is_read(
         self, tmp_path, capsys, key, value, named
@@ -305,6 +306,44 @@ class TestTrainPredict:
                      "--input", workdir["data"]]) == 2
         err = capsys.readouterr().err
         assert "'liwc'" in err and "'category'" in err
+
+    @pytest.mark.parametrize("features,edit,section", [
+        (["tfidf"], lambda env: env.pop("tfidf"), "'tfidf'"),
+        (["tfidf"], lambda env: env.update(tfidf="x"), "'tfidf'"),
+        (["liwc", "tfidf"], lambda env: env["lexicons"].update(category={}),
+         "'lexicons.category'"),
+    ], ids=["tfidf-missing", "tfidf-mistyped", "category-empty"])
+    def test_malformed_section_is_format_error(self, workdir, capsys,
+                                               features, edit, section):
+        cfg = json.loads(Path(workdir["config"]).read_text())
+        cfg.update(features=features, lexicons={"category": workdir["lex"]["category"]})
+        Path(workdir["config"]).write_text(json.dumps(cfg))
+        model_path = workdir["tmp"] / "model.json"
+        assert main(["train", "--config", workdir["config"],
+                     "--out", str(model_path)]) == 0
+        env = json.loads(model_path.read_text())
+        edit(env)
+        model_path.write_text(json.dumps(env))
+        capsys.readouterr()
+        assert main(["predict", "--model", str(model_path),
+                     "--input", workdir["data"]]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and section in err
+        assert len(err.splitlines()) == 1
+
+    def test_saved_learning_rate_is_usage_error(self, workdir, capsys):
+        # lr has no learning_rate since it fits by Newton-CG; a model saved
+        # with one set is refused as the config would be
+        model_path = workdir["tmp"] / "model.json"
+        assert main(["train", "--config", workdir["config"],
+                     "--out", str(model_path)]) == 0
+        env = json.loads(model_path.read_text())
+        env["model"]["spec"]["hyperparameters"]["learning_rate"] = 0.1
+        model_path.write_text(json.dumps(env))
+        capsys.readouterr()
+        assert main(["predict", "--model", str(model_path),
+                     "--input", workdir["data"]]) == 1
+        assert "learning_rate" in capsys.readouterr().err
 
     def test_unknown_model_name(self, workdir, capsys):
         assert main(["train", "--config", workdir["config"],

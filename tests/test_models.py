@@ -142,6 +142,78 @@ class TestOptimizerContracts:
             assert predict(dense, X) == predict(sparse_m, Xs)
 
 
+def gradient_descent_lr(X, targets, C, learning_rate=0.1, max_iter=1000, tol=1e-6):
+    """The gradient-descent loop `lr` used before Newton-CG, with a
+    halving-only step: the reference the solver's final objective must
+    match or beat."""
+    w, b = np.zeros(X.shape[1]), 0.0
+    step = learning_rate
+    loss, gw, gb = lr_objective_grad(w, b, X, targets, C)
+    for _ in range(max_iter):
+        while True:
+            w2, b2 = w - step * gw, b - step * gb
+            loss2, gw2, gb2 = lr_objective_grad(w2, b2, X, targets, C)
+            if loss2 <= loss:
+                break
+            step *= 0.5
+            if step < 1e-12:
+                return loss
+        improvement = loss - loss2
+        w, b, loss, gw, gb = w2, b2, loss2, gw2, gb2
+        if improvement < tol:
+            break
+    return loss
+
+
+class TestNewtonSolver:
+    @pytest.mark.parametrize("layout", ["dense", "csr"])
+    def test_hessian_product_matches_central_differences(self, layout):
+        rng = derive_rng(50, "hessian")
+        worst = 0.0
+        for _ in range(10):
+            n, d = int(rng.integers(5, 15)), int(rng.integers(2, 6))
+            X = rng.normal(size=(n, d)) * (rng.random((n, d)) < 0.6)
+            X = sparse.csr_matrix(X) if layout == "csr" else X
+            t = rng.integers(0, 2, size=n).astype(float)
+            C = float(rng.choice([0.3, 1.0, 4.0]))
+            theta = rng.normal(size=d + 1)
+            p = 1.0 / (1.0 + np.exp(-(X @ theta[:-1] + theta[-1])))
+            v = rng.normal(size=d + 1)
+            Hv = M._lr_hessian_product(X, p * (1.0 - p), C, v)
+
+            def grad(th):
+                _, gw, gb = lr_objective_grad(th[:-1], th[-1], X, t, C)
+                return np.append(gw, gb)
+
+            eps = 1e-5
+            fd = (grad(theta + eps * v) - grad(theta - eps * v)) / (2 * eps)
+            worst = max(worst, float(np.max(np.abs(fd - Hv))) / max(1.0, float(np.max(np.abs(fd)))))
+        assert worst < 1e-7
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_traces_fall_and_forms_agree_and_gradient_descent_is_matched(self, data):
+        n = data.draw(st.integers(6, 20), label="rows")
+        d = data.draw(st.integers(1, 5), label="columns")
+        values = st.one_of(st.just(0.0), st.floats(-3.0, 3.0, allow_nan=False))
+        X = np.array(data.draw(st.lists(
+            st.lists(values, min_size=d, max_size=d), min_size=n, max_size=n))) + 0.0
+        labels = data.draw(st.sampled_from(["ab", "abc"]), label="classes")
+        y = list(labels) + data.draw(st.lists(
+            st.sampled_from(labels), min_size=n - len(labels), max_size=n - len(labels)))
+        C = data.draw(st.sampled_from([0.1, 1.0, 10.0]), label="C")
+        spec = make_spec("lr", seed=0, C=C)
+        dense = train_lr(X, y, spec)
+        from_csr = train_lr(sparse.csr_matrix(X), y, spec)
+        assert np.allclose(dense.state["W"], from_csr.state["W"], rtol=1e-6, atol=1e-8)
+        assert np.allclose(dense.state["b"], from_csr.state["b"], rtol=1e-6, atol=1e-8)
+        for k, cls in enumerate(dense.classes):
+            trace = dense.state["loss_traces"][k]
+            assert (np.diff(trace) <= 0.0).all()
+            targets = np.array([1.0 if v == cls else 0.0 for v in y])
+            assert trace[-1] <= gradient_descent_lr(X, targets, C) + 1e-12
+
+
 class TestTrees:
     def test_root_split_at_midpoint(self):
         X = np.array([[1.0], [2.0], [3.0], [4.0]])
