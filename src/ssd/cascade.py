@@ -1,10 +1,12 @@
 """Three-stage hierarchical inference: support gate, then target, then group.
 
 Each stage is an independently fitted pipeline trained on its gold stage
-view. Prediction gates forward: a stage sees only the texts whose previous
-verdict is its opener in `corpus.SUBTASKS`, so a NSS verdict stops at
-stage 1 and an Individual verdict at stage 2. Emitted labels always
-satisfy the hierarchical invariants by construction.
+view. The stages share one preprocess config, so training and each
+prediction batch normalize every text once and hand each stage the token
+streams of its rows. Prediction gates forward: a stage sees only the texts
+whose previous verdict is its opener in `corpus.SUBTASKS`, so a NSS verdict
+stops at stage 1 and an Individual verdict at stage 2. Emitted labels
+always satisfy the hierarchical invariants by construction.
 """
 
 from __future__ import annotations
@@ -23,6 +25,8 @@ from .pipeline import (
     pipeline_to_envelope,
     predict_pipeline,
     preprocess_config,
+    read_section,
+    token_streams,
 )
 from .util import check_envelope, read_envelope, write_envelope
 
@@ -31,9 +35,11 @@ CASCADE_FORMAT = "ssd-cascade-v1"
 
 @dataclass(frozen=True)
 class CascadeModel:
-    """Three fitted stages that share one lexicon set. The stages' lexicons
-    are checked against the recorded fingerprints once, at construction, so
-    prediction never re-hashes them."""
+    """Three fitted stages that share one lexicon set and one preprocess
+    config. Both are checked once, at construction: the stages' lexicons
+    against the recorded fingerprints, so prediction never re-hashes them,
+    and each stage's preprocess config against stage 1's, so one token
+    stream per text serves every stage."""
 
     stage1: FittedPipeline
     stage2: FittedPipeline
@@ -47,6 +53,10 @@ class CascadeModel:
                     f"stage {i} lexicons do not match the cascade's recorded "
                     f"lexicon fingerprints"
                 )
+            if stage.preprocess != self.stage1.preprocess:
+                raise UsageError(
+                    f"stage {i} preprocess config differs from stage 1's"
+                )
 
     def stages(self) -> tuple[FittedPipeline, FittedPipeline, FittedPipeline]:
         return (self.stage1, self.stage2, self.stage3)
@@ -55,9 +65,15 @@ class CascadeModel:
 def train_cascade(
     d: Dataset, cfg: ExperimentConfig, model_name: str | None = None
 ) -> CascadeModel:
-    """Fit the three stage pipelines on their gold label views."""
+    """Fit the three stage pipelines on their gold label views. Every view
+    holds labeled items only, and each of those is normalized once."""
     lex = load_lexicons(cfg)
     pc = preprocess_config(cfg)
+    labeled = [it for it in d if it.label is not None]
+    streams = dict(zip(
+        (it.comment.id for it in labeled),
+        token_streams([it.comment.text for it in labeled], pc),
+    ))
     stages = []
     for subtask in SUBTASKS:
         try:
@@ -67,13 +83,12 @@ def train_cascade(
                 f"cannot train stage {subtask}: the dataset has no items "
                 f"with a stage-{subtask} label"
             ) from None
-        texts = view.texts()
         labels = view.labels(subtask)
         stage_cfg = replace(cfg, subtask=subtask)
         try:
             stages.append(
                 fit_pipeline(
-                    texts, labels, stage_cfg,
+                    [streams[it.comment.id] for it in view], labels, stage_cfg,
                     model_name=model_name,
                     lexicons=lex,
                     pcfg=pc,
@@ -99,7 +114,9 @@ def cascade_predict_batch(
     """Predict hierarchical labels for a batch, gating stages by upstream
     verdicts: a stage scores the rows whose previous verdict is its opener.
     Probabilities are the chosen class's score at each reached stage;
-    unreached stages report None."""
+    unreached stages report None. Each text is normalized once, and a stage
+    is handed the token streams of its rows."""
+    streams = token_streams(texts, m.stage1.preprocess)
     reached: list[list[tuple[str, float]]] = [[] for _ in texts]
     rows = list(range(len(texts)))
     for stage, spec in zip(m.stages(), SUBTASKS.values()):
@@ -107,7 +124,7 @@ def cascade_predict_batch(
             rows = [i for i in rows if reached[i][-1][0] == spec.opener]
         if not rows:
             break
-        stage_labels, proba = predict_pipeline(stage, [texts[i] for i in rows])
+        stage_labels, proba = predict_pipeline(stage, [streams[i] for i in rows])
         column = {c: j for j, c in enumerate(stage.classes)}
         for i, lab, pr in zip(rows, stage_labels, proba):
             reached[i].append((lab, float(pr[column[lab]])))
@@ -158,8 +175,16 @@ def cascade_to_envelope(m: CascadeModel) -> dict:
 
 def cascade_from_envelope(env: dict) -> CascadeModel:
     check_envelope(env, CASCADE_FORMAT, "cascade")
-    stages = [pipeline_from_envelope(env["stages"][str(k)]) for k in SUBTASKS]
-    return CascadeModel(*stages, dict(env["lexicon_fingerprints"]))
+    fingerprints = read_section(
+        "lexicon_fingerprints", lambda: dict(env["lexicon_fingerprints"]), "cascade"
+    )
+    stages = [
+        pipeline_from_envelope(
+            read_section(f"stages.{k}", lambda: env["stages"][str(k)], "cascade")
+        )
+        for k in SUBTASKS
+    ]
+    return CascadeModel(*stages, fingerprints)
 
 
 def save_cascade(m: CascadeModel, path: str) -> None:

@@ -442,8 +442,18 @@ def fit_models(
     return out
 
 
+def token_streams(
+    texts: Sequence[str | TokenStream], pc: PreprocessConfig
+) -> list[TokenStream]:
+    """Each text normalized under `pc`. A TokenStream passes through as a
+    text already normalized under `pc`, so a caller that fits or labels
+    several pipelines of one config normalizes each text once.
+    (perfbench/spans.py wraps `normalize` in this module.)"""
+    return [t if isinstance(t, TokenStream) else normalize(t, pc) for t in texts]
+
+
 def fit_pipeline(
-    texts: Sequence[str],
+    texts: Sequence[str | TokenStream],
     labels: Sequence[str],
     cfg: ExperimentConfig,
     model_name: str | None = None,
@@ -451,12 +461,13 @@ def fit_pipeline(
     pcfg: PreprocessConfig | None = None,
     fold_tag: tuple = (),
 ) -> FittedPipeline:
-    """Fit one pipeline end to end on the given training texts."""
+    """Fit one pipeline end to end on the given training texts, or on
+    their token streams under `pcfg`."""
     if model_name is None:
         model_name = cfg.models[0]
     lex = lexicons if lexicons is not None else load_lexicons(cfg)
     pc = pcfg if pcfg is not None else preprocess_config(cfg)
-    streams = [normalize(t, pc) for t in texts]
+    streams = token_streams(texts, pc)
     tfidf, scaler, fm = fit_features(streams, cfg, lex)
     classes = class_order(labels, cfg.subtask)
     # a voter keeps the base models the full config lists as its members
@@ -470,8 +481,10 @@ def fit_pipeline(
     )
 
 
-def pipeline_matrix(p: FittedPipeline, texts: Sequence[str]) -> FeatureMatrix:
-    streams = [normalize(t, p.preprocess) for t in texts]
+def pipeline_matrix(
+    p: FittedPipeline, texts: Sequence[str | TokenStream]
+) -> FeatureMatrix:
+    streams = token_streams(texts, p.preprocess)
     return _feature_matrix(
         streams, p.features, p.lexicons, p.tfidf, p.scaling, p.scaler
     )
@@ -484,7 +497,7 @@ def score(model, fm: FeatureMatrix) -> tuple[list[str], np.ndarray]:
 
 
 def predict_pipeline(
-    p: FittedPipeline, texts: Sequence[str]
+    p: FittedPipeline, texts: Sequence[str | TokenStream]
 ) -> tuple[list[str], np.ndarray]:
     return score(p.model, pipeline_matrix(p, texts))
 
@@ -567,42 +580,42 @@ def _names(raw: list) -> tuple[str, ...]:
     return tuple(raw)
 
 
-def _section(name: str, read: Callable[[], object]):
-    """`read()` of one section of a saved pipeline, whose missing or
+def read_section(name: str, read: Callable[[], object], kind: str = "pipeline"):
+    """`read()` of one section of a saved `kind` file, whose missing or
     mistyped parts are a FormatError that names the section."""
     try:
         return read()
     except (KeyError, IndexError, TypeError, ValueError, AttributeError) as exc:
         raise FormatError(
-            f"saved pipeline section {name!r} is missing or malformed: {exc!r}"
+            f"saved {kind} section {name!r} is missing or malformed: {exc!r}"
         ) from None
 
 
 def pipeline_from_envelope(env: dict) -> FittedPipeline:
     check_envelope(env, PIPELINE_FORMAT, "pipeline")
-    features = _section("features", lambda: _names(env["features"]))
-    embedded = _section("lexicons", lambda: dict(env["lexicons"]))
+    features = read_section("features", lambda: _names(env["features"]))
+    embedded = read_section("lexicons", lambda: dict(env["lexicons"]))
     for block, row in LEXICON_BLOCKS.items():
         if block in features and row.key not in embedded:
             raise FormatError(
                 f"pipeline feature block {block!r} has no embedded {row.key!r} lexicon"
             )
     lex = LexiconSet(**{
-        row.key: _section(f"lexicons.{row.key}", lambda: row.from_json(embedded[row.key]))
+        row.key: read_section(f"lexicons.{row.key}", lambda: row.from_json(embedded[row.key]))
         for row in LEXICON_BLOCKS.values() if row.key in embedded
     })
     if env.get("lexicon_fingerprints") != lex.fingerprints():
         raise UsageError("lexicon fingerprints do not match the embedded lexicons")
     return FittedPipeline(
-        _section("subtask", lambda: int(env["subtask"])),
-        _section("preprocess", lambda: _preprocess_from_jsonable(env["preprocess"])),
+        read_section("subtask", lambda: int(env["subtask"])),
+        read_section("preprocess", lambda: _preprocess_from_jsonable(env["preprocess"])),
         features,
         lex,
-        _section("tfidf", lambda: _tfidf_from_jsonable(env["tfidf"])),
-        _section("scaling", lambda: env["scaling"]),
-        _section("scaler", lambda: _scaler_from_jsonable(env["scaler"])),
-        _section("model", lambda: M.model_from_envelope(env["model"])),
-        _section("classes", lambda: _names(env["classes"])),
+        read_section("tfidf", lambda: _tfidf_from_jsonable(env["tfidf"])),
+        read_section("scaling", lambda: env["scaling"]),
+        read_section("scaler", lambda: _scaler_from_jsonable(env["scaler"])),
+        read_section("model", lambda: M.model_from_envelope(env["model"])),
+        read_section("classes", lambda: _names(env["classes"])),
     )
 
 

@@ -73,24 +73,87 @@ def _unchanged(text: str) -> str:
     return text
 
 
+# maximal runs of word characters and apostrophes: an abbreviation's bounds
+# (captured, so that split() keeps the runs at the odd places)
+_RUN_RE = re.compile(r"([\w'’]+)")
+# first characters closer than this share one range of the emoji scan class
+_RANGE_GAP = 1024
+
+
+def _range_class(chars: set[str]) -> re.Pattern:
+    """A character class over `chars`, widened to a few code-point ranges:
+    sre scans a short range class fast, where a class of a hundred astral
+    code points costs about as much as the full alternation."""
+    spans: list[list[int]] = []
+    for cp in sorted(map(ord, chars)):
+        if spans and cp - spans[-1][1] < _RANGE_GAP:
+            spans[-1][1] = cp
+        else:
+            spans.append([cp, cp])
+    return re.compile(
+        "[" + "".join(f"{re.escape(chr(a))}-{re.escape(chr(b))}" for a, b in spans) + "]"
+    )
+
+
 def _emoji_replacer(emoji_map: dict[str, str]) -> Callable[[str], str]:
+    """`pattern.sub` of the longest-symbol-first alternation, replayed only
+    where the range class finds a possible first character."""
     if not emoji_map:
         return _unchanged
     # longest symbol first so multi-codepoint sequences win over their prefixes
     pattern = re.compile(
         "|".join(re.escape(s) for s in sorted(emoji_map, key=len, reverse=True))
     )
-    return partial(pattern.sub, lambda m: f" {emoji_map[m.group(0)]} ")
+    starts = _range_class({s[0] for s in emoji_map})
+
+    def replace(text: str) -> str:
+        found = starts.search(text)
+        if found is None:
+            return text
+        out: list[str] = []
+        pos = 0
+        while found is not None:
+            at = found.start()
+            hit = pattern.match(text, at)
+            if hit is None:
+                found = starts.search(text, at + 1)
+                continue
+            out += (text[pos:at], f" {emoji_map[hit.group(0)]} ")
+            pos = hit.end()
+            found = starts.search(text, pos)
+        out.append(text[pos:])
+        return "".join(out)
+
+    return replace
 
 
 def _abbrev_expander(abbrev_map: dict[str, str]) -> Callable[[str], str]:
+    """Replace each abbreviation that stands as a whole run: bounded on both
+    sides by characters other than word characters and apostrophes (so "r"
+    never fires inside "you're"), matched through `.lower()`. A run whose
+    `.lower()` is no key stays as it is."""
     if not abbrev_map:
         return _unchanged
     folded = {k.lower(): v for k, v in abbrev_map.items()}
+    get = folded.get
+    if all(_RUN_RE.fullmatch(k) for k in folded):
+        # keys that are whole runs themselves (every bundled key): a dict
+        # lookup per run, which gives what the case-insensitive alternation
+        # below gives on such keys (tests/test_preprocess.py checks both the
+        # outputs and the Unicode case facts this rests on)
+        def expand(text: str) -> str:
+            parts = _RUN_RE.split(text)
+            runs = parts[1::2]
+            expanded = list(map(get, map(str.lower, runs), runs))
+            if expanded == runs:
+                return text
+            parts[1::2] = expanded
+            return "".join(parts)
+
+        return expand
     alts = "|".join(re.escape(k) for k in sorted(folded, key=len, reverse=True))
-    # apostrophes count as word-internal, so "r" never fires inside "you're"
     pattern = re.compile(rf"(?<![\w'’])(?:{alts})(?![\w'’])", re.IGNORECASE)
-    return partial(pattern.sub, lambda m: folded[m.group(0).lower()])
+    return partial(pattern.sub, lambda m: get(m.group(0).lower(), m.group(0)))
 
 
 @dataclass(frozen=True)
@@ -109,6 +172,9 @@ class PreprocessConfig:
     _expand_abbrev: Callable[[str], str] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        for name in ("emoji_map", "abbrev_map"):
+            if "" in getattr(self, name):
+                raise ValueError(f"{name} has an empty symbol")
         object.__setattr__(self, "_replace_emoji", _emoji_replacer(self.emoji_map))
         object.__setattr__(self, "_expand_abbrev", _abbrev_expander(self.abbrev_map))
 

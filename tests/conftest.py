@@ -144,3 +144,32 @@ def corpus_files(tmp_path, lexicon_files):
     cfg_path.write_text(json.dumps(cfg))
     return {"dataset": ds, "data_path": str(data), "config_path": str(cfg_path),
             "config": cfg, "tmp": tmp_path}
+
+
+# ---------------------------------------------------------------------------
+# reference text passes: each one `re.sub` of the whole symbol alternation
+
+
+def oracle_emoji_replacer(emoji_map):
+    """The emoji pass as one `re.sub` of the longest-symbol-first alternation."""
+    import re
+
+    if not emoji_map:
+        return lambda text: text
+    pattern = re.compile(
+        "|".join(re.escape(s) for s in sorted(emoji_map, key=len, reverse=True)))
+    return lambda text: pattern.sub(lambda m: f" {emoji_map[m.group(0)]} ", text)
+
+
+def oracle_abbrev_expander(abbrev_map):
+    """The abbreviation pass as one case-insensitive `re.sub` of the
+    longest-key-first alternation between `[\\w'’]` lookarounds. A match
+    whose `.lower()` is no key raises KeyError."""
+    import re
+
+    if not abbrev_map:
+        return lambda text: text
+    folded = {k.lower(): v for k, v in abbrev_map.items()}
+    alts = "|".join(re.escape(k) for k in sorted(folded, key=len, reverse=True))
+    pattern = re.compile(rf"(?<![\w'’])(?:{alts})(?![\w'’])", re.IGNORECASE)
+    return lambda text: pattern.sub(lambda m: folded[m.group(0).lower()], text)

@@ -374,6 +374,19 @@ class TestCascadeCommands:
         assert lines[1].split(",")[1] == "NSS"
         assert lines[2].split(",")[1] == "SS"
 
+    def test_case_folded_abbreviation_lookalike_is_left_alone(self, workdir, capsys):
+        # IGNORECASE matched "plſ" to the key "pls" but "plſ".lower() is no key
+        model_path = workdir["tmp"] / "cascade.json"
+        assert main(["cascade-train", "--config", workdir["config"],
+                     "--out", str(model_path)]) == 0
+        input_path = workdir["tmp"] / "texts.txt"
+        input_path.write_text("plſ help me\nİdk hate trash\n", encoding="utf-8")
+        capsys.readouterr()
+        assert main(["cascade-predict", "--model", str(model_path),
+                     "--input", str(input_path)]) == 0
+        lines = capsys.readouterr().out.strip().split("\n")
+        assert len(lines) == 3
+
 
 class TestKappa:
     def test_perfect_agreement(self, workdir, capsys):

@@ -14,6 +14,8 @@ from ssd.preprocess import (
     normalize,
 )
 
+from conftest import oracle_abbrev_expander, oracle_emoji_replacer
+
 
 @pytest.fixture(scope="module")
 def cfg():
@@ -202,3 +204,103 @@ def test_patterns_follow_the_config_maps():
     assert normalize("gr8☺", cfg).tokens == ("great", "smile")
     bare = PreprocessConfig(remove_stopwords=False, stem=False)
     assert normalize("gr8☺", bare).tokens == ("gr8",)
+
+
+# ---------------------------------------------------------------------------
+# the emoji and abbreviation passes equal one re.sub of the alternation, on
+# any map load_tsv_map accepts, wherever that re.sub does not raise
+
+# non-word keys, ASCII emoji, keys that prefix other keys, mixed case
+_EMOJI_SYMBOLS = (":)", ":-)", ":(", "<3", "❤", "❤️", "💪", "💪🏽", "😂", "xD", "_")
+# whole-run keys (as every bundled key is), then keys with other characters
+_RUN_KEYS = ("u", "U", "ur", "UR", "r", "b4", "B4", "gr8", "Gr8", "lol", "LOL", "l",
+             "i'm", "y’all", "idk", "ſ", "ß")
+_ABBREV_KEYS = _RUN_KEYS + ("w/", "w/o", "<3", "p.s", "o k")
+_PHRASES = ("you", "are", "with", "heart", "great", "smile flex", "laugh out loud")
+
+
+def _maps(keys):
+    return st.dictionaries(st.sampled_from(keys), st.sampled_from(_PHRASES),
+                           max_size=len(keys))
+
+
+def _cases(symbols):
+    return st.sampled_from(symbols).flatmap(
+        lambda k: st.sampled_from([k, k.upper(), k.capitalize(), k.lower()]))
+
+
+_SEPARATORS = st.sampled_from([" ", "'", "’", "❤", "❤️", "_", "/", ":", "-", "İ",
+                               "K", "you're", "ok", "ss"])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_passes_match_the_alternation_oracle_on_generated_maps(data):
+    emoji = data.draw(_maps(_EMOJI_SYMBOLS))
+    abbrev = data.draw(st.one_of(_maps(_RUN_KEYS), _maps(_ABBREV_KEYS)))
+    # texts mix the maps' own symbols, in several cases, with other symbols
+    # and the characters that bound a run
+    pieces = st.one_of(
+        _cases(sorted(emoji) + sorted(abbrev) or [" "]),
+        _cases(_EMOJI_SYMBOLS + _ABBREV_KEYS),
+        _SEPARATORS,
+        st.text(alphabet="uUrRlL'’ _/:)<3❤️", max_size=5),
+    )
+    text = data.draw(st.lists(pieces, max_size=12).map("".join))
+    cfg = PreprocessConfig(emoji_map=emoji, abbrev_map=abbrev, remove_stopwords=False)
+    replaced = oracle_emoji_replacer(emoji)(text)
+    assert cfg._replace_emoji(text) == replaced
+    try:
+        expanded = oracle_abbrev_expander(abbrev)(replaced)
+        oracle = _oracle_normalize(text, cfg)
+    except KeyError:
+        return  # the alternation matched a run whose .lower() is no key
+    assert cfg._expand_abbrev(replaced) == expanded
+    ts = normalize(text, cfg)
+    assert (ts.tokens, ts.original_length_chars) == oracle
+
+
+def test_run_lookup_rests_on_unicode_case_facts():
+    """Why a `.lower()` lookup per maximal `[\\w'’]` run equals the
+    case-insensitive alternation when every key is such a run: lowering
+    never turns a character outside runs into run characters, a run
+    character whose lowercase is longer leaves the run, and sre matches
+    each run character against its own lowercase."""
+    import re
+    import sys
+
+    run = re.compile(r"[\w'’]+")
+    for cp in range(sys.maxunicode + 1):
+        c = chr(cp)
+        low = c.lower()
+        if low == c:
+            continue
+        if not run.fullmatch(c) or len(low) > 1:
+            assert not run.fullmatch(low), hex(cp)
+        else:
+            assert re.fullmatch(re.escape(low), c, re.IGNORECASE), hex(cp)
+    # the one context-dependent lowercase: a final capital sigma
+    assert "ΑΣ".lower() == "ας"
+    assert re.fullmatch("ς", "Σ", re.IGNORECASE)
+
+
+def test_case_folded_run_that_is_no_key_stays_unexpanded():
+    # IGNORECASE matches "plſ" to "pls" and "İdk" to "idk", but neither
+    # lowercases to a key
+    cfg = default_config(remove_stopwords=False, stem=False)
+    assert cfg._expand_abbrev("plſ help İdk") == "plſ help İdk"
+    assert normalize("PLS help", cfg).tokens == ("please", "help")
+    with pytest.raises(KeyError):
+        oracle_abbrev_expander(cfg.abbrev_map)("plſ help")
+
+
+def test_non_word_keys_keep_the_alternation_rule():
+    cfg = PreprocessConfig(abbrev_map={"w/": "with", "u": "you", "<3": "love"},
+                           remove_stopwords=False, stem=False)
+    assert cfg._expand_abbrev("W/ u <3 w/o") == "with you love w/o"
+
+
+@pytest.mark.parametrize("field", ["emoji_map", "abbrev_map"])
+def test_empty_symbol_rejected(field):
+    with pytest.raises(ValueError, match="empty symbol"):
+        PreprocessConfig(**{field: {"": "nothing"}})
