@@ -25,10 +25,9 @@ from .pipeline import (
     pipeline_to_envelope,
     predict_pipeline,
     preprocess_config,
-    read_section,
     token_streams,
 )
-from .util import check_envelope, read_envelope, write_envelope
+from .util import check_envelope, read_envelope, read_section, write_envelope
 
 CASCADE_FORMAT = "ssd-cascade-v1"
 

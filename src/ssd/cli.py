@@ -180,16 +180,7 @@ def _cmd_cv(args) -> int:
     cfg = _load_config(args)
     report = ev.cross_validate(cfg)
     headers = ["model", "P(w)", "R(w)", "F1(w)", "P(m)", "R(m)", "F1(m)", "acc"]
-    rows = []
-    for name, result in report.models.items():
-        m = result.mean
-        rows.append([
-            name,
-            f"{m.weighted_precision:.4f}", f"{m.weighted_recall:.4f}",
-            f"{m.weighted_f1:.4f}",
-            f"{m.macro_precision:.4f}", f"{m.macro_recall:.4f}",
-            f"{m.macro_f1:.4f}", f"{m.accuracy:.4f}",
-        ])
+    rows = [[name, *ev.summary_row(result.mean)] for name, result in report.models.items()]
     print(format_table(headers, rows))
     if cfg.output_dir:
         for path in ev.write_cv_artifacts(report, cfg.output_dir):

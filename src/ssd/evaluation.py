@@ -13,7 +13,7 @@ from __future__ import annotations
 import os
 import time
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Sequence
 
 import numpy as np
@@ -100,24 +100,12 @@ class MetricsReport:
     weighted_f1: float
 
     def to_json_dict(self) -> dict:
-        return {
-            "labels": list(self.labels),
-            "precision": list(self.precision),
-            "recall": list(self.recall),
-            "f1": list(self.f1),
-            "support": list(self.support),
-            "accuracy": self.accuracy,
-            "macro": {
-                "precision": self.macro_precision,
-                "recall": self.macro_recall,
-                "f1": self.macro_f1,
-            },
-            "weighted": {
-                "precision": self.weighted_precision,
-                "recall": self.weighted_recall,
-                "f1": self.weighted_f1,
-            },
-        }
+        out = {k: list(getattr(self, k))
+               for k in ("labels", "precision", "recall", "f1", "support")}
+        out["accuracy"] = self.accuracy
+        for avg in ("macro", "weighted"):
+            out[avg] = {k: getattr(self, f"{avg}_{k}") for k in ("precision", "recall", "f1")}
+        return out
 
 
 def _safe_div(num: np.ndarray, den: np.ndarray) -> np.ndarray:
@@ -168,26 +156,15 @@ def mean_metrics(reports: Sequence[MetricsReport]) -> MetricsReport:
         if r.labels != labels:
             raise UsageError("metric reports cover different label sets")
 
-    def col(name):
-        return tuple(np.mean([getattr(r, name) for r in reports], axis=0))
+    def mean(name):
+        values = [getattr(r, name) for r in reports]
+        if isinstance(values[0], tuple):  # one value per label
+            return tuple(np.mean(values, axis=0))
+        return float(np.mean(values))
 
-    def scalar(name):
-        return float(np.mean([getattr(r, name) for r in reports]))
-
-    return MetricsReport(
-        labels=labels,
-        precision=col("precision"),
-        recall=col("recall"),
-        f1=col("f1"),
-        support=col("support"),
-        accuracy=scalar("accuracy"),
-        macro_precision=scalar("macro_precision"),
-        macro_recall=scalar("macro_recall"),
-        macro_f1=scalar("macro_f1"),
-        weighted_precision=scalar("weighted_precision"),
-        weighted_recall=scalar("weighted_recall"),
-        weighted_f1=scalar("weighted_f1"),
-    )
+    return MetricsReport(labels, **{
+        f.name: mean(f.name) for f in fields(MetricsReport) if f.name != "labels"
+    })
 
 
 def cohens_kappa(a: Sequence, b: Sequence) -> float:
@@ -361,6 +338,15 @@ def _fmt(x: float) -> str:
     return f"{x:.4f}"
 
 
+def summary_row(m: MetricsReport) -> list[str]:
+    """A summary table's seven numbers: weighted precision, recall and F1,
+    then macro precision, recall and F1, then accuracy."""
+    return [_fmt(v) for v in (
+        m.weighted_precision, m.weighted_recall, m.weighted_f1,
+        m.macro_precision, m.macro_recall, m.macro_f1, m.accuracy,
+    )]
+
+
 def render_report_markdown(report: CVReport) -> str:
     lines = [
         "# Cross-validation report",
@@ -383,16 +369,7 @@ def render_report_markdown(report: CVReport) -> str:
         "Precision (macro)", "Recall (macro)", "F1 (macro)",
         "Accuracy",
     ]
-    rows = []
-    for name, result in report.models.items():
-        m = result.mean
-        rows.append([
-            name,
-            _fmt(m.weighted_precision), _fmt(m.weighted_recall),
-            _fmt(m.weighted_f1),
-            _fmt(m.macro_precision), _fmt(m.macro_recall), _fmt(m.macro_f1),
-            _fmt(m.accuracy),
-        ])
+    rows = [[name, *summary_row(result.mean)] for name, result in report.models.items()]
     lines.append(format_markdown_table(headers, rows))
     for name, result in report.models.items():
         lines += ["", f"## Per-fold scores: {name}", ""]

@@ -306,8 +306,14 @@ class TfidfVectorizer:
     max_features: int
 
 
+# what a TF-IDF fit applies for each setting a caller leaves out
+TFIDF_DEFAULTS = {"min_df": 2, "max_features": 20000}
+
+
 def fit_tfidf(
-    corpus: Sequence[TokenStream], min_df: int = 2, max_features: int = 20000
+    corpus: Sequence[TokenStream],
+    min_df: int = TFIDF_DEFAULTS["min_df"],
+    max_features: int = TFIDF_DEFAULTS["max_features"],
 ) -> TfidfVectorizer:
     """Vocabulary of tokens with df >= min_df, capped to the max_features
     highest-df tokens (ties lexicographic), indexed lexicographically;

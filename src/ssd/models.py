@@ -33,6 +33,7 @@ import json
 import math
 import warnings
 from dataclasses import dataclass
+from functools import partial
 from typing import Sequence
 
 import numpy as np
@@ -45,6 +46,7 @@ from .util import (
     check_envelope,
     derive_rng,
     read_envelope,
+    read_section,
     write_envelope,
 )
 
@@ -918,17 +920,22 @@ def model_to_envelope(m) -> dict:
 
 def model_from_envelope(env: dict):
     check_envelope(env, MODEL_FORMAT, "model")
-    state = _from_jsonable(
+    section = partial(read_section, kind="model")
+    state = section("state", lambda: _from_jsonable(
         json.loads(base64.b64decode(env["state"]).decode("utf-8"))
-    )
-    family = env["spec"]["family"]
-    classes = tuple(env["labels"])
-    priors = np.array(env["priors"], dtype=float)
+    ))
+    family = section("spec", lambda: env["spec"]["family"])
+    classes = section("labels", lambda: tuple(env["labels"]))
+    priors = section("priors", lambda: np.array(env["priors"], dtype=float))
     if family in ("soft_vote", "hard_vote"):
-        members = tuple(model_from_envelope(e) for e in state["members"])
-        return VotingModel(family.split("_")[0], members, classes, priors)
-    spec = ModelSpec(family, env["spec"]["hyperparameters"], env["spec"]["seed"])
-    return TrainedModel(spec, classes, priors, int(env["n_features"]), state)
+        members = section("state", lambda: state["members"])
+        return VotingModel(family.split("_")[0], tuple(map(model_from_envelope, members)),
+                           classes, priors)
+    n_features = section("n_features", lambda: int(env["n_features"]))
+    spec = section("spec", lambda: ModelSpec(
+        family, env["spec"]["hyperparameters"], env["spec"]["seed"]
+    ))
+    return TrainedModel(spec, classes, priors, n_features, state)
 
 
 def save_model(m, path: str) -> None:

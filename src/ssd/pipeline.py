@@ -11,7 +11,8 @@ from __future__ import annotations
 import json
 import os
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import MISSING, dataclass, field, fields, replace
+from functools import partial
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
@@ -27,6 +28,7 @@ from .features import (
     CategoryLexicon,
     EmotionLexicon,
     FeatureMatrix,
+    TFIDF_DEFAULTS,
     Scaler,
     TfidfVectorizer,
     ValenceLexicon,
@@ -41,12 +43,19 @@ from .features import (
     sentiment_scores,
     transform_tfidf_corpus,
 )
-from .preprocess import PreprocessConfig, TokenStream, default_config, normalize
+from .preprocess import (
+    PREPROCESS_SWITCHES,
+    PreprocessConfig,
+    TokenStream,
+    default_config,
+    normalize,
+)
 from .util import (
     check_envelope,
     derive_seed,
     fingerprint,
     read_envelope,
+    read_section,
     write_envelope,
 )
 
@@ -150,6 +159,11 @@ class LexiconSet:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """One run of the experiment grid. Construction checks every field
+    against its type hint and its allowed values, so library callers,
+    `dataclasses.replace` and `config_from_dict` meet the same
+    UsageErrors; lists of names become tuples."""
+
     dataset: str
     subtask: int
     features: tuple[str, ...] = ("tfidf",)
@@ -157,60 +171,52 @@ class ExperimentConfig:
     models: tuple[str, ...] = ("lr",)
     folds: int = 5
     seed: int = 0
-    lexicon_paths: dict = field(default_factory=dict)
+    lexicon_paths: dict[str, str] = field(default_factory=dict)
     output_dir: str | None = None
     ensemble_members: tuple[str, ...] | None = None
-    hyperparameters: dict = field(default_factory=dict)
-    preprocess_overrides: dict = field(default_factory=dict)
-    tfidf_params: dict = field(default_factory=dict)
+    hyperparameters: dict[str, dict] = field(default_factory=dict)
+    preprocess_overrides: dict[str, bool] = field(default_factory=dict)
+    tfidf_params: dict[str, int] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
+        for fld in fields(self):
+            key = _CONFIG_KEY.get(fld.name, fld.name)
+            object.__setattr__(
+                self, fld.name, _as_hinted(key, fld.type, getattr(self, fld.name))
+            )
         if self.subtask not in SUBTASKS:
             raise UsageError(
                 f"subtask must be one of {list(SUBTASKS)}, got {self.subtask}"
             )
         if not self.features:
             raise UsageError("at least one feature block is required")
-        for f in self.features:
-            if f not in BLOCK_ORDER:
-                raise UsageError(f"unknown feature block {f!r}")
         if self.scaling not in ("none", "zscore"):
             raise UsageError(f"unknown scaling {self.scaling!r}")
         if not self.models:
             raise UsageError("at least one model is required")
-        for m in self.models:
-            if m not in MODEL_NAMES:
-                raise UsageError(f"unknown model {m!r}")
-        if self.ensemble_members is not None:
-            for m in self.ensemble_members:
-                if m not in BASE_FAMILIES:
-                    raise UsageError(f"ensemble member must be a base model, got {m!r}")
         if self.folds < 2:
             raise UsageError(f"folds must be >= 2, got {self.folds}")
+        for name, known in (
+            ("features", BLOCK_ORDER), ("models", MODEL_NAMES),
+            ("ensemble_members", BASE_FAMILIES), ("lexicon_paths", LEXICON_PATH_KEYS),
+            ("hyperparameters", BASE_FAMILIES),
+            ("preprocess_overrides", PREPROCESS_SWITCHES), ("tfidf_params", TFIDF_DEFAULTS),
+        ):
+            unknown = set(getattr(self, name) or ()) - set(known)
+            if unknown:
+                raise UsageError(
+                    f"config key {_CONFIG_KEY.get(name, name)!r} holds "
+                    f"{sorted(unknown)}, not among {list(known)}"
+                )
         for block, row in LEXICON_BLOCKS.items():
             if block in self.features and row.key not in self.lexicon_paths:
                 raise UsageError(
                     f"feature block {block!r} requires a {row.key!r} lexicon path"
                 )
         for family, params in self.hyperparameters.items():
-            if family not in BASE_FAMILIES or not isinstance(params, dict):
-                raise UsageError(
-                    f"hyperparameters[{family!r}] must be an object for a base "
-                    f"model, got {params!r}"
-                )
             M.ModelSpec(family, params)  # checks each setting
-        unknown = set(self.preprocess_overrides) - set(PREPROCESS_SWITCHES)
-        if unknown:
-            raise UsageError(f"unknown preprocess keys: {sorted(unknown)}")
-        for key, value in self.preprocess_overrides.items():
-            if not isinstance(value, bool):
-                raise UsageError(f"preprocess {key} must be true or false, got {value!r}")
-        unknown = set(self.tfidf_params) - set(TFIDF_DEFAULTS)
-        if unknown:
-            raise UsageError(f"unknown tfidf keys: {sorted(unknown)}")
-        for key, default in TFIDF_DEFAULTS.items():
-            value = self.tfidf_params.get(key, default)
-            if not (isinstance(value, int) and value >= 1):
+        for key, value in self.tfidf_params.items():
+            if value < 1:
                 raise UsageError(f"tfidf {key} must be an integer >= 1, got {value!r}")
 
     def base_members(self) -> tuple[str, ...]:
@@ -220,76 +226,66 @@ class ExperimentConfig:
         return listed or BASE_FAMILIES
 
 
-# what a TF-IDF fit applies for each setting the config leaves out
-TFIDF_DEFAULTS = {"min_df": 2, "max_features": 20000}
-
-# the preprocess settings a config may switch on or off
-PREPROCESS_SWITCHES = ("lowercase", "strip_punct", "remove_stopwords", "stem")
+# the type each ExperimentConfig type hint admits, and its JSON name in messages
+_HINT_TYPES = {"str": (str, "a string"), "int": (int, "an integer"),
+               "bool": (bool, "true or false"), "dict": (dict, "an object")}
 
 
-def tfidf_settings(cfg: ExperimentConfig) -> tuple[int, int]:
-    """The (min_df, max_features) that fitting a vectorizer under cfg uses."""
-    params = {**TFIDF_DEFAULTS, **cfg.tfidf_params}
-    return int(params["min_df"]), int(params["max_features"])
+def _as_hinted(key: str, hint: str, value):
+    """`value` as a field with type hint `hint` holds it, where a list of
+    names becomes a tuple; a value of another type is a UsageError that
+    names config key `key`."""
+    if hint.endswith(" | None"):
+        if value is None:
+            return None
+        hint = hint.removesuffix(" | None")
+    if hint == "tuple[str, ...]":
+        # a bare string is no list: tuple("lr") would split it into letters
+        if not isinstance(value, (list, tuple)) or not all(isinstance(v, str) for v in value):
+            raise UsageError(f"config key {key!r} must be a list of names, got {value!r}")
+        return tuple(value)
+    if hint.startswith("dict[str, "):
+        for k, v in _as_hinted(key, "dict", value).items():
+            _as_hinted(f"{key}.{k}", hint.removeprefix("dict[str, ")[:-1], v)
+        return value
+    kind, what = _HINT_TYPES[hint]
+    # bool is an int to isinstance, but `true` is no count
+    if not isinstance(value, kind) or (isinstance(value, bool) and kind is not bool):
+        raise UsageError(f"config key {key!r} must be {what}, got {value!r}")
+    return value
 
 
-_CONFIG_KEYS = {
-    "dataset", "subtask", "features", "scaling", "models", "folds", "seed",
-    "lexicons", "output_dir", "ensemble_members", "hyperparameters",
-    "preprocess", "tfidf",
-}
+# the config key of each ExperimentConfig field that a config names otherwise
+_CONFIG_KEY = {"lexicon_paths": "lexicons", "preprocess_overrides": "preprocess",
+               "tfidf_params": "tfidf"}
+
+# each key an experiment config may hold -> the ExperimentConfig field it sets
+CONFIG_FIELDS = {_CONFIG_KEY.get(f.name, f.name): f for f in fields(ExperimentConfig)}
 
 
 def config_from_dict(raw: dict, base_dir: str = ".") -> ExperimentConfig:
+    """The ExperimentConfig a config object describes, with its relative
+    paths resolved against `base_dir`."""
     if not isinstance(raw, dict):
         raise UsageError("experiment config must be a JSON object")
-    unknown = set(raw) - _CONFIG_KEYS
+    unknown = set(raw) - set(CONFIG_FIELDS)
     if unknown:
         raise UsageError(f"unknown config keys: {sorted(unknown)}")
-    if "dataset" not in raw:
-        raise UsageError("config is missing required key 'dataset'")
-    if "subtask" not in raw:
-        raise UsageError("config is missing required key 'subtask'")
-    lexicons = raw.get("lexicons", {})
-    if not isinstance(lexicons, dict):
-        raise UsageError("config key 'lexicons' must be an object")
-    unknown = set(lexicons) - set(LEXICON_PATH_KEYS)
-    if unknown:
-        raise UsageError(f"unknown lexicon keys: {sorted(unknown)}")
-
-    for key in ("features", "models", "ensemble_members"):
-        # tuple("lr") would quietly split a bare string into characters
-        if isinstance(raw.get(key), str):
-            raise UsageError(
-                f"config key {key!r} must be a list, got the string {raw[key]!r}"
-            )
+    for key, f in CONFIG_FIELDS.items():
+        if f.default is MISSING and f.default_factory is MISSING and key not in raw:
+            raise UsageError(f"config is missing required key {key!r}")
 
     def _path(p):
-        return os.path.normpath(p if os.path.isabs(p) else os.path.join(base_dir, p))
+        # a value of another type passes through for ExperimentConfig to name
+        return os.path.normpath(os.path.join(base_dir, p)) if isinstance(p, str) else p
 
-    out_dir = raw.get("output_dir")
-    try:
-        return ExperimentConfig(
-            dataset=_path(str(raw["dataset"])),
-            subtask=int(raw["subtask"]),
-            features=tuple(raw.get("features", ("tfidf",))),
-            scaling=str(raw.get("scaling", "none")),
-            models=tuple(raw.get("models", ("lr",))),
-            folds=int(raw.get("folds", 5)),
-            seed=int(raw.get("seed", 0)),
-            lexicon_paths={k: _path(str(v)) for k, v in lexicons.items()},
-            output_dir=_path(str(out_dir)) if out_dir is not None else None,
-            ensemble_members=(
-                tuple(raw["ensemble_members"])
-                if raw.get("ensemble_members") is not None
-                else None
-            ),
-            hyperparameters=dict(raw.get("hyperparameters", {})),
-            preprocess_overrides=dict(raw.get("preprocess", {})),
-            tfidf_params=dict(raw.get("tfidf", {})),
-        )
-    except (TypeError, ValueError) as exc:
-        raise UsageError(f"malformed experiment config: {exc}") from None
+    kwargs = {CONFIG_FIELDS[key].name: value for key, value in raw.items()}
+    for name in ("dataset", "output_dir"):
+        if name in kwargs:
+            kwargs[name] = _path(kwargs[name])
+    if isinstance(kwargs.get("lexicon_paths"), dict):
+        kwargs["lexicon_paths"] = {k: _path(v) for k, v in kwargs["lexicon_paths"].items()}
+    return ExperimentConfig(**kwargs)
 
 
 def load_experiment_config(path: str) -> ExperimentConfig:
@@ -392,7 +388,7 @@ def fit_features(
     with the training matrix; each dense block is extracted once."""
     tfidf = None
     if "tfidf" in cfg.features:
-        tfidf = fit_tfidf(streams, *tfidf_settings(cfg))
+        tfidf = fit_tfidf(streams, **cfg.tfidf_params)
     blocks = extract_dense_blocks(streams, cfg.features, lex)
     scaler = None
     if cfg.scaling == "zscore":
@@ -508,10 +504,7 @@ def predict_pipeline(
 
 def _preprocess_to_jsonable(pc: PreprocessConfig) -> dict:
     return {
-        "lowercase": pc.lowercase,
-        "strip_punct": pc.strip_punct,
-        "remove_stopwords": pc.remove_stopwords,
-        "stem": pc.stem,
+        **{k: getattr(pc, k) for k in PREPROCESS_SWITCHES},
         "emoji_map": dict(sorted(pc.emoji_map.items())),
         "abbrev_map": dict(sorted(pc.abbrev_map.items())),
         "stopwords": sorted(pc.stopwords),
@@ -520,10 +513,7 @@ def _preprocess_to_jsonable(pc: PreprocessConfig) -> dict:
 
 def _preprocess_from_jsonable(raw: dict) -> PreprocessConfig:
     return PreprocessConfig(
-        lowercase=raw["lowercase"],
-        strip_punct=raw["strip_punct"],
-        remove_stopwords=raw["remove_stopwords"],
-        stem=raw["stem"],
+        **{k: raw[k] for k in PREPROCESS_SWITCHES},
         emoji_map=dict(raw["emoji_map"]),
         abbrev_map=dict(raw["abbrev_map"]),
         stopwords=frozenset(raw["stopwords"]),
@@ -580,43 +570,50 @@ def _names(raw: list) -> tuple[str, ...]:
     return tuple(raw)
 
 
-def read_section(name: str, read: Callable[[], object], kind: str = "pipeline"):
-    """`read()` of one section of a saved `kind` file, whose missing or
-    mistyped parts are a FormatError that names the section."""
-    try:
-        return read()
-    except (KeyError, IndexError, TypeError, ValueError, AttributeError) as exc:
-        raise FormatError(
-            f"saved {kind} section {name!r} is missing or malformed: {exc!r}"
-        ) from None
-
-
 def pipeline_from_envelope(env: dict) -> FittedPipeline:
     check_envelope(env, PIPELINE_FORMAT, "pipeline")
-    features = read_section("features", lambda: _names(env["features"]))
-    embedded = read_section("lexicons", lambda: dict(env["lexicons"]))
+    section = partial(read_section, kind="pipeline")
+    features = section("features", lambda: _names(env["features"]))
+    embedded = section("lexicons", lambda: dict(env["lexicons"]))
     for block, row in LEXICON_BLOCKS.items():
         if block in features and row.key not in embedded:
             raise FormatError(
                 f"pipeline feature block {block!r} has no embedded {row.key!r} lexicon"
             )
     lex = LexiconSet(**{
-        row.key: read_section(f"lexicons.{row.key}", lambda: row.from_json(embedded[row.key]))
+        row.key: section(f"lexicons.{row.key}", lambda: row.from_json(embedded[row.key]))
         for row in LEXICON_BLOCKS.values() if row.key in embedded
     })
     if env.get("lexicon_fingerprints") != lex.fingerprints():
         raise UsageError("lexicon fingerprints do not match the embedded lexicons")
-    return FittedPipeline(
-        read_section("subtask", lambda: int(env["subtask"])),
-        read_section("preprocess", lambda: _preprocess_from_jsonable(env["preprocess"])),
+    p = FittedPipeline(
+        section("subtask", lambda: int(env["subtask"])),
+        section("preprocess", lambda: _preprocess_from_jsonable(env["preprocess"])),
         features,
         lex,
-        read_section("tfidf", lambda: _tfidf_from_jsonable(env["tfidf"])),
-        read_section("scaling", lambda: env["scaling"]),
-        read_section("scaler", lambda: _scaler_from_jsonable(env["scaler"])),
-        read_section("model", lambda: M.model_from_envelope(env["model"])),
-        read_section("classes", lambda: _names(env["classes"])),
+        section("tfidf", lambda: _tfidf_from_jsonable(env["tfidf"])),
+        section("scaling", lambda: env["scaling"]),
+        section("scaler", lambda: _scaler_from_jsonable(env["scaler"])),
+        section("model", lambda: M.model_from_envelope(env["model"])),
+        section("classes", lambda: _names(env["classes"])),
     )
+    _check_layout(p)
+    return p
+
+
+def _check_layout(p: FittedPipeline) -> None:
+    """Raise now the UsageError that a file whose sections were edited out
+    of agreement on the feature columns would raise at its first predict."""
+    dense = sum(len(row.columns(lex)) for block, row, lex in p.lexicons.present()
+                if block in p.features)
+    width = dense + (len(p.tfidf.vocabulary) if p.tfidf is not None else 0)
+    for model in p.model.members if isinstance(p.model, M.VotingModel) else (p.model,):
+        if model.n_features != width:
+            raise UsageError(f"saved pipeline model has {model.n_features} columns, "
+                             f"but its features, lexicons and vocabulary give {width}")
+    if p.scaler is not None and not len(p.scaler.mean) == len(p.scaler.std) == dense:
+        raise UsageError(f"saved pipeline scaler has {len(p.scaler.mean)} columns, "
+                         f"but its lexicon features give {dense}")
 
 
 def save_pipeline(p: FittedPipeline, path: str) -> None:

@@ -179,6 +179,10 @@ class PreprocessConfig:
         object.__setattr__(self, "_expand_abbrev", _abbrev_expander(self.abbrev_map))
 
 
+# the PreprocessConfig settings an experiment config may switch on or off
+PREPROCESS_SWITCHES = ("lowercase", "strip_punct", "remove_stopwords", "stem")
+
+
 @dataclass(frozen=True)
 class TokenStream:
     tokens: tuple[str, ...]

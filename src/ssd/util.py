@@ -6,7 +6,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from typing import IO, Any, Iterable, Sequence
+from typing import IO, Any, Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -72,6 +72,17 @@ def check_envelope(env: Any, fmt: str, kind: str) -> None:
     if not isinstance(env, dict) or env.get("format") != fmt:
         found = env.get("format") if isinstance(env, dict) else type(env).__name__
         raise FormatError(f"expected a {fmt} {kind} file, got format {found!r}")
+
+
+def read_section(name: str, read: Callable[[], Any], kind: str) -> Any:
+    """`read()` of one section of a saved `kind` file, whose missing or
+    mistyped parts are a FormatError that names the section."""
+    try:
+        return read()
+    except (KeyError, IndexError, TypeError, ValueError, AttributeError) as exc:
+        raise FormatError(
+            f"saved {kind} section {name!r} is missing or malformed: {exc!r}"
+        ) from None
 
 
 def write_envelope(path: str, env: dict, kind: str) -> None:

@@ -118,6 +118,20 @@ class TestCv:
         assert (out_dir / "report.md").exists()
         assert (out_dir / "timing.json").exists()
 
+    def test_stdout_rows_carry_the_report_md_numbers(self, workdir, capsys):
+        raw = json.loads(Path(workdir["config"]).read_text())
+        raw["models"] = ["lr", "dt", "soft_vote"]
+        Path(workdir["config"]).write_text(json.dumps(raw))
+        out_dir = workdir["tmp"] / "cvout"
+        assert main(["cv", "--config", workdir["config"],
+                     "--output-dir", str(out_dir)]) == 0
+        printed = [line.split() for line in capsys.readouterr().out.splitlines()[2:]]
+        md = (out_dir / "report.md").read_text()
+        table = md.split("## Mean scores over folds\n\n")[1].split("\n\n")[0]
+        summary = [line.strip("| ").split(" | ") for line in table.splitlines()[2:]]
+        assert [row[0] for row in printed] == ["lr", "dt", "soft_vote"]
+        assert printed == summary
+
     def test_seed_flag_overrides_config(self, workdir, capsys):
         out_a = workdir["tmp"] / "a"
         out_b = workdir["tmp"] / "b"
@@ -344,6 +358,21 @@ class TestTrainPredict:
         assert main(["predict", "--model", str(model_path),
                      "--input", workdir["data"]]) == 1
         assert "learning_rate" in capsys.readouterr().err
+
+    def test_edited_vocabulary_is_usage_error_at_load(self, workdir, capsys):
+        model_path = workdir["tmp"] / "model.json"
+        assert main(["train", "--config", workdir["config"],
+                     "--out", str(model_path)]) == 0
+        env = json.loads(model_path.read_text())
+        vocabulary = env["tfidf"]["vocabulary"]
+        del vocabulary[max(vocabulary, key=vocabulary.get)]
+        model_path.write_text(json.dumps(env))
+        capsys.readouterr()
+        assert main(["predict", "--model", str(model_path),
+                     "--input", workdir["data"]]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: saved pipeline model has")
+        assert len(err.splitlines()) == 1
 
     def test_unknown_model_name(self, workdir, capsys):
         assert main(["train", "--config", workdir["config"],

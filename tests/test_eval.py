@@ -2,7 +2,7 @@
 
 import json
 import warnings
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -10,6 +10,7 @@ import pytest
 from ssd.errors import UsageError
 from ssd.evaluation import (
     ConfusionMatrix,
+    MetricsReport,
     cohens_kappa,
     confusion_matrix,
     cross_validate,
@@ -23,11 +24,12 @@ from ssd.evaluation import (
 )
 from ssd.pipeline import (
     ExperimentConfig,
+    LexiconSet,
     config_from_dict,
+    fit_features,
     load_experiment_config,
     load_lexicons,
     preprocess_config,
-    tfidf_settings,
 )
 from ssd.preprocess import normalize
 from ssd.util import canonical_json, derive_rng
@@ -123,6 +125,22 @@ class TestMetrics:
         assert m.macro_f1 == pytest.approx((a.macro_f1 + b.macro_f1) / 2)
         assert m.f1[0] == pytest.approx((a.f1[0] + b.f1[0]) / 2)
 
+    def test_mean_metrics_averages_every_field(self):
+        rng = derive_rng(9, "reports")
+        reports = [
+            MetricsReport(("A", "B"), **{
+                f.name: tuple(rng.random(2)) if f.type == "tuple[float, ...]"
+                else float(rng.random())
+                for f in fields(MetricsReport) if f.name != "labels"
+            })
+            for _ in range(3)
+        ]
+        m = mean_metrics(reports)
+        assert m.labels == ("A", "B")
+        for f in fields(MetricsReport)[1:]:
+            want = np.mean([getattr(r, f.name) for r in reports], axis=0)
+            assert np.array(getattr(m, f.name)).tolist() == want.tolist(), f.name
+
     def test_mean_metrics_label_mismatch(self):
         a = score_labels(["A"], ["A"], labels=["A", "B"])
         b = score_labels(["A"], ["A"], labels=["A", "C"])
@@ -196,12 +214,13 @@ class TestConfig:
             config_from_dict(self.base(**patch), str(tmp_path))
 
     def test_tfidf_defaults_are_the_applied_ones(self, tmp_path):
-        cfg = config_from_dict(self.base(), str(tmp_path))
-        assert tfidf_settings(cfg) == (2, 20000)
-        cfg = config_from_dict(self.base(tfidf={"min_df": 1}), str(tmp_path))
-        assert tfidf_settings(cfg) == (1, 20000)
-        cfg = config_from_dict(self.base(tfidf={"max_features": 50}), str(tmp_path))
-        assert tfidf_settings(cfg) == (2, 50)
+        streams = [normalize(t, preprocess_config(ExperimentConfig("d.csv", 1)))
+                   for t in make_support_corpus(60, seed=1).texts()]
+        for tfidf, applied in [({}, (2, 20000)), ({"min_df": 1}, (1, 20000)),
+                               ({"max_features": 50}, (2, 50))]:
+            cfg = config_from_dict(self.base(tfidf=tfidf), str(tmp_path))
+            vectorizer = fit_features(streams, cfg, LexiconSet())[0]
+            assert (vectorizer.min_df, vectorizer.max_features) == applied
 
     @pytest.mark.parametrize("tfidf", [
         {"max_features": None},

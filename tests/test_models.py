@@ -1,6 +1,7 @@
 """Classifier families: training contracts, capability separations,
 probability calibration shape, voting, and serialization."""
 
+import json
 import warnings
 
 import numpy as np
@@ -666,6 +667,24 @@ class TestSerialization:
     def test_foreign_format_rejected(self):
         with pytest.raises(FormatError):
             model_from_envelope({"format": "pickle-v9"})
+
+    @pytest.mark.parametrize("section", ["spec", "labels", "priors", "n_features", "state"])
+    def test_missing_section_is_format_error_naming_it(self, tmp_path, section):
+        X, y = blobs(n=24, seed=23)
+        path = tmp_path / "m.json"
+        save_model(train_lr(X, y, make_spec("lr", seed=0)), str(path))
+        env = json.loads(path.read_text())
+        del env[section]
+        path.write_text(json.dumps(env))
+        with pytest.raises(FormatError, match=f"'{section}'"):
+            load_model(str(path))
+
+    def test_voting_state_without_members_is_format_error(self):
+        X, y = blobs(n=24, seed=24)
+        env = model_to_envelope(make_voting("soft", [train_lr(X, y, make_spec("lr"))]))
+        env["state"] = model_to_envelope(train_lr(X, y, make_spec("lr")))["state"]
+        with pytest.raises(FormatError, match="'state'"):
+            model_from_envelope(env)
 
     def test_spec_validation(self):
         with pytest.raises(UsageError):

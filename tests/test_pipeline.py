@@ -194,3 +194,35 @@ def test_edited_lexicon_without_its_fingerprints_is_rejected(
     path.write_text(json.dumps(env))
     with pytest.raises(UsageError, match="fingerprints do not match"):
         load_pipeline(str(path))
+
+
+def _drop_last_word(env):
+    vocabulary = env["tfidf"]["vocabulary"]
+    del vocabulary[max(vocabulary, key=vocabulary.get)]
+
+
+@pytest.mark.parametrize("model,edit,named", [
+    ("soft_vote", _drop_last_word, "model"),
+    ("soft_vote", lambda env: env["features"].remove("liwc"), "model"),
+    ("lr", lambda env: env["model"].update(n_features=env["model"]["n_features"] + 1),
+     "model"),
+    ("lr", lambda env: env["scaler"]["mean"].pop(), "scaler"),
+    ("lr", lambda env: env["scaler"]["std"].append(1.0), "scaler"),
+], ids=["vocabulary", "features", "n_features", "scaler-mean", "scaler-std"])
+def test_sections_edited_out_of_agreement_fail_at_load(
+        tmp_path, corpus, lexicon_files, model, edit, named):
+    """A file whose sections disagree on the feature columns is a usage
+    error when it loads, as an edited lexicon is, not at its first predict."""
+    texts, labels, _ = corpus
+    cfg = config_from_dict({
+        "dataset": "d.csv", "subtask": 1, "features": ["liwc", "tfidf"],
+        "scaling": "zscore", "models": [model, "lr", "dt"],
+        "tfidf": {"min_df": 1}, "lexicons": lexicon_files,
+    }, str(tmp_path))
+    path = tmp_path / "model.json"
+    save_pipeline(fit_pipeline(texts, labels, cfg), str(path))
+    env = json.loads(path.read_text())
+    edit(env)
+    path.write_text(json.dumps(env))
+    with pytest.raises(UsageError, match=f"saved pipeline {named} has"):
+        load_pipeline(str(path))

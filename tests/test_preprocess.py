@@ -1,12 +1,15 @@
 """Normalization pipeline: emoji phrases, abbreviations, tokenization,
 stop-word removal, stemming."""
 
+from dataclasses import fields
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ssd.errors import DataError
 from ssd.preprocess import (
+    PREPROCESS_SWITCHES,
     PreprocessConfig,
     default_config,
     load_stopwords,
@@ -116,6 +119,11 @@ def test_load_tsv_map_rejects_duplicates(tmp_path):
 def test_config_is_frozen(cfg):
     with pytest.raises(AttributeError):
         cfg.stem = False
+
+
+def test_switches_are_the_boolean_settings():
+    assert PREPROCESS_SWITCHES == tuple(
+        f.name for f in fields(PreprocessConfig) if f.type == "bool")
 
 
 @given(st.text(max_size=80))

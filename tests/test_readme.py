@@ -10,7 +10,7 @@ import shlex
 
 from ssd.cli import main
 from ssd.corpus import write_dataset
-from ssd.pipeline import config_from_dict
+from ssd.pipeline import CONFIG_FIELDS, config_from_dict
 
 from conftest import CATEGORY_DIC, EMOTION_TSV, VALENCE_TSV, make_support_corpus
 
@@ -42,6 +42,13 @@ def test_config_example_loads():
     cfg = config_from_dict(raw)
     assert cfg.models == tuple(raw["models"])
     assert cfg.hyperparameters == raw["hyperparameters"]
+
+
+def test_every_config_key_is_documented():
+    with open(README, encoding="utf-8") as fh:
+        section = fh.read().split("\n### Experiment config\n", 1)[1].split("\n### ", 1)[0]
+    assert [key for key in CONFIG_FIELDS if f'"{key}"' not in section
+            and f"`{key}`" not in section] == []
 
 
 def test_command_line_block_runs(tmp_path, monkeypatch):
