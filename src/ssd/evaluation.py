@@ -23,6 +23,7 @@ from .corpus import (
 )
 from .errors import DataError, UsageError
 from .pipeline import (
+    CONFIG_FIELDS,
     LEXICON_BLOCKS,
     ExperimentConfig,
     LexiconSet,
@@ -239,17 +240,12 @@ class CVReport:
 
 
 def _config_echo(cfg: ExperimentConfig) -> dict:
-    return {
-        "dataset": cfg.dataset,
-        "subtask": cfg.subtask,
-        "features": list(cfg.features),
-        "scaling": cfg.scaling,
-        "models": list(cfg.models),
-        "folds": cfg.folds,
-        "seed": cfg.seed,
-        "lexicons": dict(sorted(cfg.lexicon_paths.items())),
-        "ensemble_members": list(cfg.base_members()),
-    }
+    """Every config key but `output_dir`, so that reruns into other
+    directories write equal reports, with the voters' members resolved."""
+    echo = {key: getattr(cfg, f.name) for key, f in CONFIG_FIELDS.items()
+            if key != "output_dir"}
+    echo["ensemble_members"] = cfg.base_members()
+    return {key: list(v) if isinstance(v, tuple) else v for key, v in echo.items()}
 
 
 def _evaluate_fold(

@@ -397,6 +397,10 @@ class FeatureMatrix:
         return self.dense.shape[0]
 
 
+# the values of a config's `scaling`; zscore standardizes the dense columns
+SCALINGS = ("none", "zscore")
+
+
 def combine_features(
     blocks: Sequence[tuple[str, object]],
     scaling: str = "none",
@@ -405,7 +409,7 @@ def combine_features(
     """Concatenate blocks in the fixed order liwc, emotion, sentiment,
     tfidf; z-score dense columns when requested (constant columns pass
     through unchanged). The TF-IDF block is never scaled."""
-    if scaling not in ("none", "zscore"):
+    if scaling not in SCALINGS:
         raise UsageError(f"unknown scaling {scaling!r}")
     by_name = dict(blocks)
     if len(by_name) != len(blocks):

@@ -7,15 +7,16 @@ so the recorded loss trace never increases), one-vs-rest linear SVM
 sequential minimal optimization), a CART decision tree, and a bagged random
 forest. Soft and hard voting combine trained models.
 
-This module alone decides what a model sees. Every trainer and
-`predict_proba` take any finite 2-D matrix, sparse or dense, through one
-input step. The linear families (lr, svm_linear) work on it in the form
-they are given: CSR rows for sparse input, dense rows for dense input.
-svm_rbf, dt and rf work on a dense array, made within their
-`densify_budget` (100 000 000 elements by default), or a `DataError`; their
-output depends on the values of the input, not on its storage. lr,
-svm_linear and svm_rbf share one one-vs-rest loop; a decision tree is the
-one-tree, no-bootstrap case of the forest trainer.
+Each family is one row of `FAMILIES`: its hyperparameters (defaults and
+admitted values), its fit, its scorer and its input form. This module
+alone decides what a model sees: every trainer and `predict_proba` take
+any finite 2-D matrix, sparse or dense, through one input step. lr and
+svm_linear work on it in the form it is given (CSR or dense rows); the
+`dense` families, svm_rbf, dt and rf, on a dense array made within their
+`densify_budget`, or a `DataError`, so their output depends on the values
+of the input, not on its storage. lr, svm_linear and svm_rbf share one
+one-vs-rest loop; a decision tree is the one-tree, no-bootstrap case of
+the forest trainer.
 
 Trees search a node's splits with array code, a chunk of features at a
 time within a fixed element budget, and route rows to their leaves one
@@ -31,10 +32,11 @@ from __future__ import annotations
 import base64
 import json
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 from functools import partial
-from typing import Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 from scipy import sparse
@@ -53,60 +55,33 @@ from .util import (
 MODEL_FORMAT = "ssd-model-v1"
 _OVERFLOWED = "training overflowed to a non-finite model; rescale the features"
 
+
+def _is_number(value) -> bool:
+    # bool is an int to isinstance, but `true` is no number; NaN, infinity
+    # and integers past the float range can be neither computed with nor
+    # saved in a model file or report
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and abs(value) <= sys.float_info.max)
+
+
+class Rule(NamedTuple):
+    """The values a hyperparameter admits: in words, and as a test."""
+    says: str
+    admits: Callable[[object], bool]
+
+
+_POSITIVE = Rule("a positive number", lambda v: _is_number(v) and v > 0)
+_NON_NEGATIVE = Rule("a number >= 0", lambda v: _is_number(v) and v >= 0)
+_AT_LEAST_ONE = Rule("an integer >= 1", lambda v: _is_number(v) and isinstance(v, int) and v >= 1)
+_MAX_FEATURES = Rule("null, 'sqrt' or an integer >= 1",
+                     lambda v: v is None or v == "sqrt" or _AT_LEAST_ONE.admits(v))
+_MAX_DEPTH = Rule("null or an integer >= 1", lambda v: v is None or _AT_LEAST_ONE.admits(v))
+_MIN_SPLIT = Rule("an integer >= 2", lambda v: _AT_LEAST_ONE.admits(v) and v >= 2)
+_GAMMA = Rule("'scale' or a positive number", lambda v: v == "scale" or _POSITIVE.admits(v))
+_BOOL = Rule("true or false", lambda v: isinstance(v, bool))
 # rows x columns a dense family may densify: 800 MB of float64, enough for
 # the paper's setting of ~10k comments with up to ~10k TF-IDF columns
-_DENSIFY_BUDGET = 100_000_000
-
-_HYPER_DEFAULTS: dict[str, dict] = {
-    "lr": {"C": 1.0, "max_iter": 1000, "tol": 1e-6},
-    "svm_linear": {"lam": 1e-4, "epochs": 50},
-    "svm_rbf": {
-        "C": 1.0,
-        "gamma": "scale",
-        "tol": 1e-3,
-        "max_passes": 10,
-        "densify_budget": _DENSIFY_BUDGET,
-    },
-    "dt": {
-        "max_depth": None,
-        "min_samples_split": 2,
-        "max_features": None,
-        "densify_budget": _DENSIFY_BUDGET,
-    },
-    "rf": {
-        "n_trees": 100,
-        "bootstrap": True,
-        "max_features": "sqrt",
-        "densify_budget": _DENSIFY_BUDGET,
-    },
-}
-
-
-def _check_hyper(family: str, name: str, value) -> None:
-    positive = {"C", "lam"}
-    at_least_one = {"max_iter", "epochs", "max_passes", "n_trees", "densify_budget"}
-    if name in positive and not (isinstance(value, (int, float)) and value > 0):
-        raise UsageError(f"{family}.{name} must be positive, got {value!r}")
-    if name in at_least_one and not (isinstance(value, int) and value >= 1):
-        raise UsageError(f"{family}.{name} must be an integer >= 1, got {value!r}")
-    if name == "tol" and not (isinstance(value, (int, float)) and value >= 0):
-        raise UsageError(f"{family}.tol must be >= 0, got {value!r}")
-    if name == "gamma" and value != "scale" and not (
-        isinstance(value, (int, float)) and value > 0
-    ):
-        raise UsageError(f"{family}.gamma must be 'scale' or positive, got {value!r}")
-    if name == "max_depth" and value is not None and not (
-        isinstance(value, int) and value >= 1
-    ):
-        raise UsageError(f"{family}.max_depth must be None or >= 1, got {value!r}")
-    if name == "min_samples_split" and not (isinstance(value, int) and value >= 2):
-        raise UsageError(f"{family}.min_samples_split must be >= 2, got {value!r}")
-    if name == "max_features" and value is not None and value != "sqrt" and not (
-        isinstance(value, int) and value >= 1
-    ):
-        raise UsageError(f"{family}.max_features must be None, 'sqrt', or >= 1")
-    if name == "bootstrap" and not isinstance(value, bool):
-        raise UsageError(f"{family}.bootstrap must be a bool, got {value!r}")
+_DENSIFY_BUDGET = (100_000_000, _AT_LEAST_ONE)
 
 
 @dataclass(frozen=True)
@@ -116,19 +91,19 @@ class ModelSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.family not in _HYPER_DEFAULTS:
+        if self.family not in FAMILIES:
             raise UsageError(f"unknown model family {self.family!r}")
-        defaults = _HYPER_DEFAULTS[self.family]
-        unknown = set(self.hyperparameters) - set(defaults)
+        known = FAMILIES[self.family].hyper
+        unknown = set(self.hyperparameters) - set(known)
         if unknown:
-            raise UsageError(
-                f"unknown {self.family} hyperparameters: {sorted(unknown)}"
-            )
+            raise UsageError(f"unknown {self.family} hyperparameters: {sorted(unknown)}")
         for name, value in self.hyperparameters.items():
-            _check_hyper(self.family, name, value)
+            rule = known[name][1]
+            if not rule.admits(value):
+                raise UsageError(f"{self.family}.{name} must be {rule.says}, got {value!r}")
 
     def hyper(self, name: str):
-        return self.hyperparameters.get(name, _HYPER_DEFAULTS[self.family][name])
+        return self.hyperparameters.get(name, FAMILIES[self.family].hyper[name][0])
 
 
 def make_spec(family: str, seed: int = 0, **hyperparameters) -> ModelSpec:
@@ -146,9 +121,6 @@ class TrainedModel:
 
 # ---------------------------------------------------------------------------
 # the model-input contract and the trainer preamble
-
-# families that work on dense arrays only
-_DENSE_FAMILIES = ("svm_rbf", "dt", "rf")
 
 
 def _model_input(X, spec: ModelSpec, n_features: int | None = None):
@@ -171,7 +143,7 @@ def _model_input(X, spec: ModelSpec, n_features: int | None = None):
             f"feature layout mismatch: model fitted on {n_features} columns, "
             f"input has {X.shape[1]}"
         )
-    if spec.family in _DENSE_FAMILIES and sparse.issparse(X):
+    if FAMILIES[spec.family].dense and sparse.issparse(X):
         budget = spec.hyper("densify_budget")
         if X.shape[0] * X.shape[1] > budget:
             raise DataError(
@@ -205,16 +177,18 @@ def _resolve_classes(y: Sequence[str], classes: Sequence[str] | None):
     return y, classes, counts / len(y)
 
 
-def _train(fit_state, X, y, spec: ModelSpec, classes) -> TrainedModel:
-    """What every trainer does around its family's fit: take the input
-    step, resolve the classes, check the sample count, and wrap the
-    state that `fit_state(X, y, classes, spec)` returns once it is
-    finite."""
+def _train(family: str, X, y, spec: ModelSpec, classes) -> TrainedModel:
+    """What every trainer does around its family's fit: check that the
+    spec is of `family`, take the input step, resolve the classes, check
+    the sample count, and wrap the state that the family's `fit` returns
+    once it is finite."""
+    if spec.family != family:
+        raise UsageError(f"train_{family} was given a {spec.family} spec")
     X = _model_input(X, spec)
     y, classes, priors = _resolve_classes(y, classes)
     if len(y) != X.shape[0]:
         raise UsageError("X and y disagree on sample count")
-    state = fit_state(X, y, classes, spec)
+    state = FAMILIES[family].fit(X, y, classes, spec)
     if not _finite(state):
         raise DataError(f"{spec.family} {_OVERFLOWED}")
     return TrainedModel(spec, classes, priors, X.shape[1], state)
@@ -259,9 +233,18 @@ def _linear_state(machines, present, n_features: int, traces_key: str) -> dict:
     return {"W": W, "b": b, "present": present, traces_key: traces}
 
 
-def _normalize_rows(scores: np.ndarray) -> np.ndarray:
+def _margin_proba(margins: np.ndarray, present: np.ndarray) -> np.ndarray:
+    """Each present class's expit(margin), normalized per row; an absent
+    class scores zero. Where every present class's expit underflows to 0,
+    a row takes the limit of those ratios: a softmax of its margins."""
+    scores = expit(margins)
+    scores[:, ~present] = 0.0
     totals = scores.sum(axis=1, keepdims=True)
-    totals[totals == 0] = 1.0
+    lost = totals[:, 0] == 0.0
+    if lost.any():
+        at = np.ix_(lost, present)
+        scores[at] = np.exp(margins[at] - margins[at].max(axis=1, keepdims=True))
+        totals[lost] = scores[lost].sum(axis=1, keepdims=True)
     return scores / totals
 
 
@@ -380,8 +363,8 @@ def _lr_state(X, y, classes, spec: ModelSpec) -> dict:
     return _linear_state(machines, present, X.shape[1], "loss_traces")
 
 
-def train_lr(X, y, spec: ModelSpec, classes: Sequence[str] | None = None) -> TrainedModel:
-    return _train(_lr_state, X, y, spec, classes)
+def _linear_scores(state: dict, X) -> np.ndarray:
+    return _margin_proba(np.asarray(X @ state["W"].T) + state["b"], state["present"])
 
 
 # ---------------------------------------------------------------------------
@@ -444,12 +427,6 @@ def _svm_linear_state(X, y, classes, spec: ModelSpec) -> dict:
         lambda targets, rng: _fit_binary_pegasos(X, targets, lam, epochs, rng),
     )
     return _linear_state(machines, present, X.shape[1], "objective_traces")
-
-
-def train_svm_linear(
-    X, y, spec: ModelSpec, classes: Sequence[str] | None = None
-) -> TrainedModel:
-    return _train(_svm_linear_state, X, y, spec, classes)
 
 
 # ---------------------------------------------------------------------------
@@ -555,10 +532,15 @@ def _svm_rbf_state(X, y, classes, spec: ModelSpec) -> dict:
     return {"machines": machines, "gamma": gamma, "present": present}
 
 
-def train_svm_rbf(
-    X, y, spec: ModelSpec, classes: Sequence[str] | None = None
-) -> TrainedModel:
-    return _train(_svm_rbf_state, X, y, spec, classes)
+def _svm_rbf_scores(state: dict, X: np.ndarray) -> np.ndarray:
+    margins = np.zeros((X.shape[0], len(state["machines"])))
+    for k, machine in enumerate(state["machines"]):
+        if machine is not None:
+            # a machine without support vectors loads with shape (0,)
+            sv = machine["sv"].reshape(-1, X.shape[1])
+            K = _rbf_kernel(X, sv, state["gamma"])
+            margins[:, k] = K @ machine["alphas"] + machine["b"]
+    return _margin_proba(margins, state["present"])
 
 
 # ---------------------------------------------------------------------------
@@ -718,39 +700,80 @@ def _resolve_max_features(value, d: int) -> int | None:
     return min(int(value), d)
 
 
-def _forest(n_trees: int, bootstrap: bool, min_split: int, max_depth: int | None):
-    """The state function of a forest of n_trees, tree t grown on its own
-    RNG stream ("tree", t) from a bootstrap sample or from every row."""
-
-    def forest_state(X, y, classes, spec: ModelSpec) -> dict:
-        index = {c: i for i, c in enumerate(classes)}
-        y_idx = np.array([index[v] for v in y])
-        max_features = _resolve_max_features(spec.hyper("max_features"), X.shape[1])
-        n = X.shape[0]
-        trees = []
-        for t in range(n_trees):
-            rng = derive_rng(spec.seed, "tree", t)
-            rows = rng.integers(0, n, size=n) if bootstrap else slice(None)
-            trees.append(
-                _grow_tree(
-                    X[rows], y_idx[rows], len(classes), min_split, max_depth,
-                    max_features, rng,
-                )
-            )
-        return {"trees": trees}
-
-    return forest_state
+def _forest_state(X, y, classes, spec: ModelSpec, n_trees: int, bootstrap: bool,
+                  min_split: int, max_depth: int | None) -> dict:
+    """A forest of n_trees, tree t grown on its own RNG stream ("tree", t)
+    from a bootstrap sample or from every row."""
+    index = {c: i for i, c in enumerate(classes)}
+    y_idx = np.array([index[v] for v in y])
+    max_features = _resolve_max_features(spec.hyper("max_features"), X.shape[1])
+    n = X.shape[0]
+    trees = []
+    for t in range(n_trees):
+        rng = derive_rng(spec.seed, "tree", t)
+        rows = rng.integers(0, n, size=n) if bootstrap else slice(None)
+        trees.append(_grow_tree(X[rows], y_idx[rows], len(classes), min_split, max_depth,
+                                max_features, rng))
+    return {"trees": trees}
 
 
-def train_dt(X, y, spec: ModelSpec, classes: Sequence[str] | None = None) -> TrainedModel:
+def _dt_state(X, y, classes, spec: ModelSpec) -> dict:
     # the one-tree, no-bootstrap forest, with its own depth and split limits
-    tree = _forest(1, False, spec.hyper("min_samples_split"), spec.hyper("max_depth"))
-    return _train(tree, X, y, spec, classes)
+    return _forest_state(X, y, classes, spec, 1, False,
+                         spec.hyper("min_samples_split"), spec.hyper("max_depth"))
 
 
-def train_rf(X, y, spec: ModelSpec, classes: Sequence[str] | None = None) -> TrainedModel:
-    forest = _forest(spec.hyper("n_trees"), spec.hyper("bootstrap"), 2, None)
-    return _train(forest, X, y, spec, classes)
+def _rf_state(X, y, classes, spec: ModelSpec) -> dict:
+    return _forest_state(X, y, classes, spec, spec.hyper("n_trees"),
+                         spec.hyper("bootstrap"), 2, None)
+
+
+def _forest_scores(state: dict, X: np.ndarray) -> np.ndarray:
+    """The mean of the trees' leaf distributions, summed in tree order."""
+    trees = state["trees"]
+    return sum(_tree_proba(tree, X) for tree in trees) / len(trees)
+
+
+# ---------------------------------------------------------------------------
+# the families
+
+
+class Family(NamedTuple):
+    """What a model family is, in one place."""
+    hyper: dict  # each hyperparameter's name -> (its default, its Rule)
+    fit: Callable  # (X, y, classes, spec) -> the fitted state
+    scores: Callable  # (state, X) -> class probabilities, one row per row of X
+    dense: bool  # works on a dense array, which sparse input is densified to
+
+
+# in the default order of a voter's members, which soft-vote means keep
+FAMILIES = {
+    "lr": Family({"C": (1.0, _POSITIVE), "max_iter": (1000, _AT_LEAST_ONE),
+                  "tol": (1e-6, _NON_NEGATIVE)}, _lr_state, _linear_scores, dense=False),
+    "svm_linear": Family({"lam": (1e-4, _POSITIVE), "epochs": (50, _AT_LEAST_ONE)},
+                         _svm_linear_state, _linear_scores, dense=False),
+    "svm_rbf": Family({"C": (1.0, _POSITIVE), "gamma": ("scale", _GAMMA),
+                       "tol": (1e-3, _NON_NEGATIVE), "max_passes": (10, _AT_LEAST_ONE),
+                       "densify_budget": _DENSIFY_BUDGET},
+                      _svm_rbf_state, _svm_rbf_scores, dense=True),
+    "dt": Family({"max_depth": (None, _MAX_DEPTH), "min_samples_split": (2, _MIN_SPLIT),
+                  "max_features": (None, _MAX_FEATURES), "densify_budget": _DENSIFY_BUDGET},
+                 _dt_state, _forest_scores, dense=True),
+    "rf": Family({"n_trees": (100, _AT_LEAST_ONE), "bootstrap": (True, _BOOL),
+                  "max_features": ("sqrt", _MAX_FEATURES), "densify_budget": _DENSIFY_BUDGET},
+                 _rf_state, _forest_scores, dense=True),
+}
+
+
+def _trainer(family: str):
+    def train(X, y, spec: ModelSpec, classes: Sequence[str] | None = None) -> TrainedModel:
+        return _train(family, X, y, spec, classes)
+    train.__name__ = train.__qualname__ = f"train_{family}"
+    return train
+
+
+# bound by name: callers, and wrappers that time them, look up `train_<family>`
+train_lr, train_svm_linear, train_svm_rbf, train_dt, train_rf = map(_trainer, FAMILIES)
 
 
 # ---------------------------------------------------------------------------
@@ -762,28 +785,9 @@ def predict_proba(m, X) -> np.ndarray:
     if isinstance(m, VotingModel):
         return _voting_proba(m, X)
     X = _model_input(X, m.spec, m.n_features)
-    family = m.spec.family
     if X.shape[0] == 0:
         return np.zeros((0, len(m.classes)))
-    if family in ("lr", "svm_linear"):
-        margins = np.asarray(X @ m.state["W"].T) + m.state["b"]
-        scores = expit(margins)
-        scores[:, ~m.state["present"]] = 0.0
-        return _normalize_rows(scores)
-    if family == "svm_rbf":
-        scores = np.zeros((X.shape[0], len(m.classes)))
-        for k, machine in enumerate(m.state["machines"]):
-            if machine is None:
-                continue
-            # a machine without support vectors loads with shape (0,)
-            sv = machine["sv"].reshape(-1, X.shape[1])
-            K = _rbf_kernel(X, sv, m.state["gamma"])
-            scores[:, k] = expit(K @ machine["alphas"] + machine["b"])
-        return _normalize_rows(scores)
-    acc = np.zeros((X.shape[0], len(m.classes)))
-    for tree in m.state["trees"]:
-        acc += _tree_proba(tree, X)
-    return acc / len(m.state["trees"])
+    return FAMILIES[m.spec.family].scores(m.state, X)
 
 
 def labels_from_proba(m, proba: np.ndarray) -> list[str]:
@@ -807,9 +811,13 @@ def predict(m, X) -> list[str]:
 # voting ensembles
 
 
+# each voter's model name -> its voting kind
+VOTERS = {"soft_vote": "soft", "hard_vote": "hard"}
+
+
 @dataclass(frozen=True)
 class VotingModel:
-    kind: str  # "soft" | "hard"
+    kind: str  # a value of VOTERS
     members: tuple
     classes: tuple[str, ...]
     priors: np.ndarray
@@ -820,8 +828,8 @@ class VotingModel:
 
 
 def make_voting(kind: str, members: Sequence) -> VotingModel:
-    if kind not in ("soft", "hard"):
-        raise UsageError(f"voting kind must be 'soft' or 'hard', got {kind!r}")
+    if kind not in VOTERS.values():
+        raise UsageError(f"voting kind must be one of {list(VOTERS.values())}, got {kind!r}")
     if not members:
         raise UsageError("a voting ensemble needs at least one member")
     base = set(members[0].classes)
@@ -857,7 +865,7 @@ def _voting_proba(vm: VotingModel, X) -> np.ndarray:
     for proba in stacked:
         winners = np.argmax(proba, axis=1)
         votes[np.arange(n), winners] += 1
-    return _normalize_rows(votes)
+    return votes / len(stacked)
 
 
 def soft_vote(models: Sequence, X) -> tuple[list[str], np.ndarray]:
@@ -899,7 +907,8 @@ def _from_jsonable(value):
 def model_to_envelope(m) -> dict:
     if isinstance(m, VotingModel):
         state = {"members": [model_to_envelope(member) for member in m.members]}
-        spec = {"family": f"{m.kind}_vote", "hyperparameters": {}, "seed": 0}
+        name = next(name for name, kind in VOTERS.items() if kind == m.kind)
+        spec = {"family": name, "hyperparameters": {}, "seed": 0}
     else:
         state = _to_jsonable(m.state)
         spec = {
@@ -924,16 +933,16 @@ def model_from_envelope(env: dict):
     state = section("state", lambda: _from_jsonable(
         json.loads(base64.b64decode(env["state"]).decode("utf-8"))
     ))
-    family = section("spec", lambda: env["spec"]["family"])
+    kind = section("spec", lambda: VOTERS.get(env["spec"]["family"]))
     classes = section("labels", lambda: tuple(env["labels"]))
     priors = section("priors", lambda: np.array(env["priors"], dtype=float))
-    if family in ("soft_vote", "hard_vote"):
+    if kind is not None:
         members = section("state", lambda: state["members"])
-        return VotingModel(family.split("_")[0], tuple(map(model_from_envelope, members)),
+        return VotingModel(kind, tuple(map(model_from_envelope, members)),
                            classes, priors)
     n_features = section("n_features", lambda: int(env["n_features"]))
     spec = section("spec", lambda: ModelSpec(
-        family, env["spec"]["hyperparameters"], env["spec"]["seed"]
+        env["spec"]["family"], env["spec"]["hyperparameters"], env["spec"]["seed"]
     ))
     return TrainedModel(spec, classes, priors, n_features, state)
 

@@ -24,6 +24,7 @@ from .errors import FormatError, UsageError
 from .features import (
     BLOCK_ORDER,
     EMOTIONS,
+    SCALINGS,
     SENTIMENT_NAMES,
     CategoryLexicon,
     EmotionLexicon,
@@ -61,8 +62,8 @@ from .util import (
 
 PIPELINE_FORMAT = "ssd-pipeline-v1"
 
-BASE_FAMILIES = ("lr", "svm_linear", "svm_rbf", "dt", "rf")
-VOTE_KINDS = ("soft_vote", "hard_vote")
+BASE_FAMILIES = tuple(M.FAMILIES)
+VOTE_KINDS = tuple(M.VOTERS)
 MODEL_NAMES = BASE_FAMILIES + VOTE_KINDS
 
 
@@ -190,7 +191,7 @@ class ExperimentConfig:
             )
         if not self.features:
             raise UsageError("at least one feature block is required")
-        if self.scaling not in ("none", "zscore"):
+        if self.scaling not in SCALINGS:
             raise UsageError(f"unknown scaling {self.scaling!r}")
         if not self.models:
             raise UsageError("at least one model is required")
@@ -434,7 +435,7 @@ def fit_models(
             out[name] = base[name]
         else:
             members = [base[m] for m in cfg.base_members()]
-            out[name] = M.make_voting(name.split("_")[0], members)
+            out[name] = M.make_voting(M.VOTERS[name], members)
     return out
 
 
@@ -570,6 +571,12 @@ def _names(raw: list) -> tuple[str, ...]:
     return tuple(raw)
 
 
+def _scaling(raw: str) -> str:
+    if raw not in SCALINGS:
+        raise ValueError(f"expected one of {list(SCALINGS)}, got {raw!r}")
+    return raw
+
+
 def pipeline_from_envelope(env: dict) -> FittedPipeline:
     check_envelope(env, PIPELINE_FORMAT, "pipeline")
     section = partial(read_section, kind="pipeline")
@@ -592,7 +599,7 @@ def pipeline_from_envelope(env: dict) -> FittedPipeline:
         features,
         lex,
         section("tfidf", lambda: _tfidf_from_jsonable(env["tfidf"])),
-        section("scaling", lambda: env["scaling"]),
+        section("scaling", lambda: _scaling(env["scaling"])),
         section("scaler", lambda: _scaler_from_jsonable(env["scaler"])),
         section("model", lambda: M.model_from_envelope(env["model"])),
         section("classes", lambda: _names(env["classes"])),
@@ -603,7 +610,11 @@ def pipeline_from_envelope(env: dict) -> FittedPipeline:
 
 def _check_layout(p: FittedPipeline) -> None:
     """Raise now the UsageError that a file whose sections were edited out
-    of agreement on the feature columns would raise at its first predict."""
+    of agreement on the feature columns would raise at its first predict,
+    or whose scaler does not fit its scaling would (or would not) apply."""
+    if (p.scaler is not None) != (p.scaling == "zscore"):
+        raise UsageError(f"saved pipeline scaling has {p.scaling!r}, but the file "
+                         f"{'lacks' if p.scaler is None else 'holds'} a scaler")
     dense = sum(len(row.columns(lex)) for block, row, lex in p.lexicons.present()
                 if block in p.features)
     width = dense + (len(p.tfidf.vocabulary) if p.tfidf is not None else 0)

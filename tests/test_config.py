@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ssd import models as M
 from ssd.cli import main
 from ssd.corpus import write_dataset
 from ssd.errors import SsdError, UsageError
@@ -69,6 +70,13 @@ def test_nested_value_of_another_type_is_usage_error(tmp_path, key, value):
         config_from_dict({"dataset": "d.csv", "subtask": 1, key: value}, str(tmp_path))
 
 
+def test_true_is_no_hyperparameter_value(tmp_path):
+    # {"rf": {"n_trees": true}} once fitted one tree
+    raw = {"dataset": "d.csv", "subtask": 1, "hyperparameters": {"rf": {"n_trees": True}}}
+    with pytest.raises(UsageError, match="rf.n_trees must be"):
+        config_from_dict(raw, str(tmp_path))
+
+
 def test_library_callers_get_the_same_checks():
     cfg = ExperimentConfig("d.csv", 1, features=["tfidf"], models=["lr", "dt"])
     assert cfg.features == ("tfidf",) and cfg.models == ("lr", "dt")
@@ -117,6 +125,14 @@ FAMILY_SETTINGS = {
     "dt": ("max_depth", "min_samples_split", "max_features", "densify_budget"),
     "rf": ("bootstrap", "max_features", "densify_budget"),
 }
+
+
+def test_fuzzed_settings_cover_every_hyperparameter():
+    # a family or hyperparameter added to M.FAMILIES must join the fuzz
+    assert list(SMALL_FITS) == list(FAMILY_SETTINGS) == list(M.FAMILIES)
+    for family, row in M.FAMILIES.items():
+        assert {*SMALL_FITS[family], *FAMILY_SETTINGS[family]} == set(row.hyper), family
+        assert set(FAMILY_SETTINGS[family]) <= set(SETTINGS), family
 
 
 def hyperparameters(value_of):

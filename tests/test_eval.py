@@ -11,6 +11,7 @@ from ssd.errors import UsageError
 from ssd.evaluation import (
     ConfusionMatrix,
     MetricsReport,
+    _config_echo,
     cohens_kappa,
     confusion_matrix,
     cross_validate,
@@ -23,6 +24,7 @@ from ssd.evaluation import (
     write_cv_artifacts,
 )
 from ssd.pipeline import (
+    CONFIG_FIELDS,
     ExperimentConfig,
     LexiconSet,
     config_from_dict,
@@ -423,6 +425,17 @@ class TestArtifacts:
             assert col in header
         for name in ["lr", "dt", "soft_vote"]:
             assert f"| {name} " in md
+
+    def test_config_echo_holds_every_key_but_output_dir(self, cv_setup):
+        cfg, echo = cv_setup["cfg"], cv_setup["report"].config
+        assert set(echo) == set(CONFIG_FIELDS) - {"output_dir"}
+        assert echo["tfidf"] == {"min_df": 1}
+        assert echo["ensemble_members"] == ["lr", "dt"]
+        # runs under other settings echo them; a run into another directory does not
+        for changed in ({"tfidf_params": {"min_df": 2}}, {"preprocess_overrides": {"stem": False}},
+                        {"hyperparameters": {"lr": {"C": 0.5}}}):
+            assert _config_echo(replace(cfg, **changed)) != echo, changed
+        assert _config_echo(replace(cfg, output_dir="elsewhere")) == echo
 
     def test_report_json_round_trips_canonically(self, cv_setup):
         payload = cv_setup["report"].to_json_dict()

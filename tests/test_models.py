@@ -452,6 +452,22 @@ class TestProbabilities:
         assert np.allclose(proba.sum(axis=1), 1.0, atol=1e-9)
         assert (proba >= 0).all()
 
+    def test_rows_sum_to_one_where_every_expit_underflows(self):
+        # found by TestEveryFamilyProperties: far from its training rows,
+        # Pegasos's large weights give both classes margins below -745,
+        # whose expit is 0, and the row once summed to 0
+        X = np.zeros((9, 4))
+        X[7, 3], X[8, 1] = -1.0, 3.0
+        y = ["a", "b", "a", "a", "a", "a", "a", "b", "a"]
+        model = train_svm_linear(X, y, make_spec("svm_linear", seed=3, epochs=2))
+        unseen = np.array([[0.0, -1.0, 0.0, 1.0]])
+        margins = unseen @ model.state["W"].T + model.state["b"]
+        assert (margins < -745).all()
+        proba = predict_proba(model, unseen)
+        assert proba.sum() == 1.0
+        # the limit of the expit ratios: the larger margin takes the row
+        assert proba[0, np.argmax(margins)] == 1.0
+
     def test_declared_absent_class_warns_and_zeroes(self):
         X, y = blobs(n=20, seed=12)
         with warnings.catch_warnings(record=True) as caught:
@@ -695,6 +711,50 @@ class TestSerialization:
             ModelSpec("rf", {"n_trees": 0}, 0)
 
 
+class TestFamilyTable:
+    """`M.FAMILIES` is the one owner of what a family is; the test-side
+    copies of it must cover it."""
+
+    def test_test_copies_cover_the_table(self):
+        assert list(TRAINERS) == list(M.FAMILIES)
+        assert all(TRAINERS[f] is getattr(M, f"train_{f}") for f in M.FAMILIES)
+        assert set(TestInputContract.DENSE) == {
+            family for family, row in M.FAMILIES.items() if row.dense}
+
+    @pytest.mark.parametrize("family", M.FAMILIES)
+    def test_every_default_passes_its_own_rule(self, family):
+        for name, (default, rule) in M.FAMILIES[family].hyper.items():
+            assert rule.admits(default), name
+            assert make_spec(family, **{name: default}).hyper(name) == default
+
+    @pytest.mark.parametrize("family,name", [
+        (family, name) for family, row in M.FAMILIES.items()
+        for name in row.hyper if name != "bootstrap"
+    ])
+    def test_true_is_no_number(self, family, name):
+        # {"rf": {"n_trees": true}} once fitted one tree
+        with pytest.raises(UsageError, match=f"{family}.{name} must be"):
+            ModelSpec(family, {name: True})
+
+    @pytest.mark.parametrize("family,name,value", [
+        ("lr", "C", float("inf")), ("lr", "tol", float("inf")),
+        ("svm_rbf", "gamma", float("nan")), ("svm_linear", "lam", float("inf")),
+        ("lr", "C", 10**400), ("rf", "n_trees", 10**400),
+    ])
+    def test_number_past_the_float_range_is_usage_error(self, family, name, value):
+        # no model file or report could hold it, and C = 10**400 made lr
+        # raise a raw OverflowError
+        with pytest.raises(UsageError, match=f"{family}.{name} must be"):
+            ModelSpec(family, {name: value})
+
+    @pytest.mark.parametrize("family", M.FAMILIES)
+    def test_trainer_refuses_another_familys_spec(self, family):
+        # train_lr with a dt spec once died on a raw KeyError: 'max_iter'
+        other = next(f for f in M.FAMILIES if f != family)
+        with pytest.raises(UsageError, match=f"train_{family} was given a {other} spec"):
+            TRAINERS[family](XOR_X, XOR_Y, make_spec(other))
+
+
 class TestInputContract:
     """The trainers and `predict_proba` decide a model's input form. The
     dense families, and voters over them, give the same model for the
@@ -812,3 +872,47 @@ class TestLrCap:
                 trainer(X, y, TestInputContract.spec(family), classes=("a", "b", "zzz"))
             absent = [w for w in caught if "zzz" in str(w.message)]
             assert [w.filename for w in absent] == [__file__], family
+
+
+class TestEveryFamilyProperties:
+    """Every family and both voters, on small random data in sparse and in
+    dense form: each row of probabilities sums to 1, a model saved and
+    loaded again scores bit for bit as before, and a refit on the same
+    seed and rows gives the same file."""
+
+    @staticmethod
+    def fit_all(X, y):
+        fitted = {family: TRAINERS[family](X, y, TestInputContract.spec(family))
+                  for family in M.FAMILIES}
+        members = list(fitted.values())
+        fitted.update((name, make_voting(kind, members)) for name, kind in M.VOTERS.items())
+        return fitted
+
+    @settings(max_examples=50, deadline=None)
+    @given(data=st.data())
+    def test_models_keep_their_invariants(self, data):
+        n = data.draw(st.integers(4, 12), label="rows")
+        d = data.draw(st.integers(1, 5), label="columns")
+        values = st.one_of(st.just(0.0), st.floats(-4.0, 4.0, allow_nan=False))
+
+        def matrix(rows, label):
+            return np.array(data.draw(st.lists(st.lists(
+                values, min_size=d, max_size=d), min_size=rows, max_size=rows), label=label))
+
+        X, unseen = matrix(n, "X"), matrix(3, "unseen")
+        y = ["a", "b"] + data.draw(
+            st.lists(st.sampled_from("abc"), min_size=n - 2, max_size=n - 2), label="y")
+        if data.draw(st.booleans(), label="sparse"):
+            X, unseen = sparse.csr_matrix(X), sparse.csr_matrix(unseen)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            fitted, refitted = self.fit_all(X, y), self.fit_all(X, y)
+        assert list(fitted) == [*M.FAMILIES, *M.VOTERS]
+        for name, model in fitted.items():
+            text = canonical_json(model_to_envelope(model))
+            assert canonical_json(model_to_envelope(refitted[name])) == text, name
+            again = model_from_envelope(json.loads(text))
+            for Z in (X, unseen):
+                proba = predict_proba(model, Z)
+                assert np.allclose(proba.sum(axis=1), 1.0, rtol=0.0, atol=1e-12), name
+                assert predict_proba(again, Z).tobytes() == proba.tobytes(), name

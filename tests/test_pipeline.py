@@ -10,7 +10,7 @@ import pytest
 
 from ssd import models as M
 from ssd.cascade import train_cascade
-from ssd.errors import DataError, UsageError
+from ssd.errors import DataError, FormatError, UsageError
 from ssd.evaluation import cross_validate
 from ssd.features import DENSE_BLOCKS
 from ssd.pipeline import (
@@ -208,7 +208,11 @@ def _drop_last_word(env):
      "model"),
     ("lr", lambda env: env["scaler"]["mean"].pop(), "scaler"),
     ("lr", lambda env: env["scaler"]["std"].append(1.0), "scaler"),
-], ids=["vocabulary", "features", "n_features", "scaler-mean", "scaler-std"])
+    # unchecked, an edit to "none" silently dropped the scaling at predict
+    ("lr", lambda env: env.update(scaling="none"), "scaling"),
+    ("lr", lambda env: env.update(scaler=None), "scaling"),
+], ids=["vocabulary", "features", "n_features", "scaler-mean", "scaler-std",
+        "scaling-none", "scaler-null"])
 def test_sections_edited_out_of_agreement_fail_at_load(
         tmp_path, corpus, lexicon_files, model, edit, named):
     """A file whose sections disagree on the feature columns is a usage
@@ -225,4 +229,15 @@ def test_sections_edited_out_of_agreement_fail_at_load(
     edit(env)
     path.write_text(json.dumps(env))
     with pytest.raises(UsageError, match=f"saved pipeline {named} has"):
+        load_pipeline(str(path))
+
+
+def test_unknown_saved_scaling_is_a_format_error(tmp_path, corpus):
+    texts, labels, _ = corpus
+    path = tmp_path / "model.json"
+    save_pipeline(fit_pipeline(texts, labels, _config(tmp_path, ["lr"])), str(path))
+    env = json.loads(path.read_text())
+    env["scaling"] = "minmax"
+    path.write_text(json.dumps(env))
+    with pytest.raises(FormatError, match="'scaling'"):
         load_pipeline(str(path))

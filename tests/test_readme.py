@@ -8,6 +8,7 @@ import os
 import re
 import shlex
 
+from ssd import models as M
 from ssd.cli import main
 from ssd.corpus import write_dataset
 from ssd.pipeline import CONFIG_FIELDS, config_from_dict
@@ -49,6 +50,19 @@ def test_every_config_key_is_documented():
         section = fh.read().split("\n### Experiment config\n", 1)[1].split("\n### ", 1)[0]
     assert [key for key in CONFIG_FIELDS if f'"{key}"' not in section
             and f"`{key}`" not in section] == []
+
+
+def test_hyperparameter_table_is_the_family_table():
+    """The README's table names every (family, hyperparameter) of
+    M.FAMILIES, in its order, with its default and admitted values."""
+    with open(README, encoding="utf-8") as fh:
+        section = fh.read().split("\n#### Model hyperparameters\n", 1)[1]
+    rows = re.findall(r"^\| `(\w+)` \| `(\w+)` \| `(.+?)` \| (.+?) \|$", section, re.M)
+    assert [(family, name) for family, name, _, _ in rows] == [
+        (family, name) for family, row in M.FAMILIES.items() for name in row.hyper]
+    for family, name, default, says in rows:
+        assert (json.loads(default), says) == (
+            M.FAMILIES[family].hyper[name][0], M.FAMILIES[family].hyper[name][1].says)
 
 
 def test_command_line_block_runs(tmp_path, monkeypatch):
