@@ -339,10 +339,8 @@ def transform_tfidf_corpus(
     """Count x idf per document, L2-normalized; all-zero rows stay zero."""
     indptr = [0]
     indices: list[int] = []
-    data: list[float] = []
-    n_rows = 0
+    rows_data: list[np.ndarray] = [np.empty(0)]  # so no rows concatenate too
     for ts in streams:
-        n_rows += 1
         counts: dict[int, int] = {}
         for tok in ts.tokens:
             j = v.vocabulary.get(tok)
@@ -354,10 +352,11 @@ def transform_tfidf_corpus(
         if norm > 0:
             vals = vals / norm
         indices.extend(cols)
-        data.extend(vals)
+        rows_data.append(vals)
         indptr.append(len(indices))
     return sparse.csr_matrix(
-        (data, indices, indptr), shape=(n_rows, len(v.vocabulary))
+        (np.concatenate(rows_data), indices, indptr),
+        shape=(len(indptr) - 1, len(v.vocabulary)),
     )
 
 
@@ -450,6 +449,7 @@ def combine_features(
 
     tfidf = by_name.get("tfidf")
     if tfidf is not None:
-        tfidf = sparse.csr_matrix(tfidf)
+        if not isinstance(tfidf, sparse.csr_matrix):
+            tfidf = sparse.csr_matrix(tfidf)
         layout.append(("tfidf", tfidf.shape[1]))
     return FeatureMatrix(dense, tfidf, tuple(layout))

@@ -126,11 +126,13 @@ class TrainedModel:
 def _model_input(X, spec: ModelSpec, n_features: int | None = None):
     """The matrix a model of spec's family sees: finite values, in CSR or
     dense form as given for the linear families, and as a dense array,
-    densified within `densify_budget`, for the others. A prediction
-    passes the fitted width, which is checked before anything is
-    densified."""
+    densified within `densify_budget`, for the others. A `csr_matrix`
+    passes through without a copy; other sparse forms become one. A
+    prediction passes the fitted width, which is checked before anything
+    is densified."""
     if sparse.issparse(X):
-        X = sparse.csr_matrix(X)
+        if not isinstance(X, sparse.csr_matrix):
+            X = sparse.csr_matrix(X)
         values = X.data
     else:
         X = values = np.asarray(X, dtype=float)

@@ -339,13 +339,38 @@ def extract_dense_blocks(
 
 def matrix_for_family(fm: FeatureMatrix):
     """The one matrix every model family is handed: the dense blocks
-    stacked with the sparse TF-IDF block. Each family's own form of it
-    is made in `models`. (perfbench/spans.py wraps this name.)"""
-    if fm.tfidf is None:
-        return fm.dense
-    if fm.dense.shape[1] == 0:
-        return fm.tfidf
-    return sparse.hstack([sparse.csr_matrix(fm.dense), fm.tfidf], format="csr")
+    stacked with the sparse TF-IDF block, built as one CSR in a single
+    construction. Each row holds its nonzero dense entries, then its
+    TF-IDF entries shifted by the dense width; the arrays equal, bytes and
+    dtypes alike, those of `sparse.hstack([csr_matrix(dense), tfidf])`.
+    Each family's own form of it is made in `models`. (perfbench/spans.py
+    wraps this name.)"""
+    dense, tfidf = fm.dense, fm.tfidf
+    if tfidf is None:
+        return dense
+    n, width = dense.shape
+    if width == 0:
+        return tfidf
+    rows, cols = np.nonzero(dense)
+    dense_ptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=n), out=dense_ptr[1:])
+    nnz = rows.size + tfidf.nnz
+    shape = (n, width + tfidf.shape[1])
+    # int32 indices wherever they fit, as `sparse.hstack` chooses; built as
+    # int64, the constructor would scan them to narrow them
+    idx = np.int32 if max(shape[1], nnz) <= np.iinfo(np.int32).max else np.int64
+    # a dense entry moves past the TF-IDF entries of the rows before it,
+    # a TF-IDF entry past the dense entries of its own row and those before
+    at_dense = np.arange(rows.size) + tfidf.indptr[rows]
+    at_tfidf = np.arange(tfidf.nnz) + np.repeat(dense_ptr[1:], np.diff(tfidf.indptr))
+    data = np.empty(nnz, dtype=np.result_type(dense.dtype, tfidf.dtype))
+    data[at_dense] = dense[rows, cols]
+    data[at_tfidf] = tfidf.data
+    indices = np.empty(nnz, dtype=idx)
+    indices[at_dense] = cols
+    indices[at_tfidf] = tfidf.indices + width
+    indptr = (dense_ptr + tfidf.indptr).astype(idx)
+    return sparse.csr_matrix((data, indices, indptr), shape=shape)
 
 
 # ---------------------------------------------------------------------------

@@ -91,6 +91,24 @@ class TestGating:
             assert p.label.group == group
 
 
+def test_one_text_labels_equal_its_batch_labels(tmp_path, lexicon_files):
+    """A text labelled alone gets the label and probabilities, bit for bit,
+    that it gets inside a batch."""
+    ds = make_support_corpus(260, seed=13, hierarchical=True)
+    cfg = hier_config(tmp_path, "unused.csv",
+                      features=["liwc", "emotion", "sentiment", "tfidf"],
+                      scaling="zscore", lexicons=lexicon_files)
+    model = train_cascade(ds, cfg)
+    texts = make_support_corpus(80, seed=23, hierarchical=True).texts()
+    texts += ["", "zebra quilt"]
+    batch = cascade_predict_batch(model, texts)
+    assert {p.p3 is None for p in batch} == {True, False}
+    for text, expected in zip(texts, batch):
+        one = cascade_predict(model, text)
+        assert one.label == expected.label
+        assert (one.p1, one.p2, one.p3) == (expected.p1, expected.p2, expected.p3)
+
+
 class TestEvaluation:
     def test_planted_corpus_scores(self, cascade_setup):
         held_out = make_support_corpus(120, seed=31, hierarchical=True)

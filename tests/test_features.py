@@ -293,6 +293,7 @@ class TestCombine:
         assert fm.layout == (("liwc", 2), ("emotion", 8), ("sentiment", 3), ("tfidf", 2))
         assert fm.dense.shape == (1, 2 + 8 + 3)
         assert fm.dense[0, 0] == 3.0 and fm.tfidf[0, 1] == 0.5
+        assert fm.tfidf is tf  # a CSR block is not copied
 
     def test_zscore_requires_stats(self):
         with pytest.raises(UsageError):

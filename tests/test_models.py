@@ -836,6 +836,11 @@ class TestInputContract:
         X, _ = blobs(n=20, seed=31)
         assert isinstance(M._model_input(X, make_spec(family)), np.ndarray)
         assert M._model_input(sparse.csc_matrix(X), make_spec(family)).format == "csr"
+        # a csr_matrix is used as it is; a csr_array becomes a csr_matrix
+        csr = sparse.csr_matrix(X)
+        assert M._model_input(csr, make_spec(family)) is csr
+        as_array = M._model_input(sparse.csr_array(X), make_spec(family))
+        assert type(as_array) is sparse.csr_matrix
 
 
 class TestLrCap:

@@ -3,16 +3,22 @@
 import importlib.util
 import itertools
 import json
+import math
 from dataclasses import replace
+from functools import lru_cache
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy import sparse
 
 from ssd import models as M
 from ssd.cascade import train_cascade
 from ssd.errors import DataError, FormatError, UsageError
 from ssd.evaluation import cross_validate
-from ssd.features import DENSE_BLOCKS
+from ssd.features import DENSE_BLOCKS, FeatureMatrix
 from ssd.pipeline import (
     LEXICON_BLOCKS,
     config_from_dict,
@@ -241,3 +247,93 @@ def test_unknown_saved_scaling_is_a_format_error(tmp_path, corpus):
     path.write_text(json.dumps(env))
     with pytest.raises(FormatError, match="'scaling'"):
         load_pipeline(str(path))
+
+
+# ---------------------------------------------------------------------------
+# the stacked matrix: one CSR, equal to scipy's hstack
+
+
+def _hstack_oracle(fm):
+    """The stacked matrix as scipy builds it, the reference for
+    `matrix_for_family`."""
+    return sparse.hstack([sparse.csr_matrix(fm.dense), fm.tfidf], format="csr")
+
+
+_CELLS = st.sampled_from([0.0, -0.0, 1.0, -2.5, 0.125, 3e-300])
+_NONFINITE = st.sampled_from([math.nan, math.inf, -math.inf])
+
+
+@st.composite
+def feature_matrices(draw):
+    """Zero or more rows of a dense block (possibly 0 wide, with all-zero
+    rows, -0.0 and, when drawn, non-finite cells) and a TF-IDF block
+    (possibly absent, with all-zero rows)."""
+    n = draw(st.integers(0, 5), label="rows")
+    width = draw(st.integers(0, 4), label="dense width")
+    cells = _CELLS | _NONFINITE if draw(st.booleans()) else _CELLS
+    zero_row = st.just([0.0] * width)
+    dense = np.array(draw(st.lists(
+        zero_row | st.lists(cells, min_size=width, max_size=width),
+        min_size=n, max_size=n)), dtype=float).reshape(n, width)
+    if draw(st.booleans()):
+        return FeatureMatrix(dense, None, ())
+    vocab = draw(st.integers(0, 5), label="vocabulary")
+    indptr, indices, data = [0], [], []
+    for _ in range(n):
+        cols = sorted(draw(st.sets(st.integers(0, vocab - 1), max_size=vocab))) \
+            if vocab else []
+        indices += cols
+        data += draw(st.lists(st.sampled_from([0.5, -0.0, 0.25, 1.0]),
+                              min_size=len(cols), max_size=len(cols)))
+        indptr.append(len(indices))
+    tfidf = sparse.csr_matrix((np.array(data, dtype=float), indices, indptr),
+                              shape=(n, vocab))
+    return FeatureMatrix(dense, tfidf, ())
+
+
+@lru_cache(maxsize=None)
+def _lr_of_width(width):
+    X = np.vstack([np.eye(width), -np.eye(width)])
+    return M.train_lr(X, ["a"] * width + ["b"] * width, M.make_spec("lr"))
+
+
+@settings(max_examples=300, deadline=None)
+@given(fm=feature_matrices())
+def test_stacked_matrix_equals_the_hstack_oracle(fm):
+    X = matrix_for_family(fm)
+    if fm.tfidf is None:
+        assert X is fm.dense
+    elif fm.dense.shape[1] == 0:
+        assert X is fm.tfidf
+    else:
+        oracle = _hstack_oracle(fm)
+        assert type(X) is type(oracle) and X.shape == oracle.shape
+        for name in ("indptr", "indices", "data"):
+            got, want = getattr(X, name), getattr(oracle, name)
+            assert got.dtype == want.dtype, name
+            assert got.tobytes() == want.tobytes(), name
+    if X.shape[1] == 0:
+        return
+    model = _lr_of_width(X.shape[1])
+    if np.isfinite(fm.dense).all():
+        assert M.predict_proba(model, X).shape == (X.shape[0], 2)
+    else:
+        with pytest.raises(DataError, match="NaN or infinite"):
+            M.predict_proba(model, X)
+
+
+def test_one_text_builds_at_most_two_csr_matrices(
+        tmp_path, corpus, lexicon_files, monkeypatch):
+    """One for the TF-IDF block and one for the stacked matrix; nothing
+    re-wraps a matrix that is already CSR."""
+    p = _lexicon_pipeline(tmp_path, corpus, lexicon_files, DENSE_BLOCKS)
+    made = []
+    init = sparse.csr_matrix.__init__
+
+    def counted(self, *args, **kwargs):
+        made.append(type(self))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(sparse.csr_matrix, "__init__", counted)
+    predict_pipeline(p, corpus[2][:1])
+    assert 1 <= len(made) <= 2
