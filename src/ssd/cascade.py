@@ -1,12 +1,13 @@
 """Three-stage hierarchical inference: support gate, then target, then group.
 
 Each stage is an independently fitted pipeline trained on its gold stage
-view. The stages share one preprocess config, so training and each
-prediction batch normalize every text once and hand each stage the token
-streams of its rows. Prediction gates forward: a stage sees only the texts
-whose previous verdict is its opener in `corpus.SUBTASKS`, so a NSS verdict
-stops at stage 1 and an Individual verdict at stage 2. Emitted labels
-always satisfy the hierarchical invariants by construction.
+view. The stages share one preprocess config, one feature list and one
+lexicon set, so training and each prediction batch normalize and featurize
+every text once and hand each stage its rows of that batch. Prediction
+gates forward: a stage sees only the texts whose previous verdict is its
+opener in `corpus.SUBTASKS`, so a NSS verdict stops at stage 1 and an
+Individual verdict at stage 2. Emitted labels always satisfy the
+hierarchical invariants by construction.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from .pipeline import (
     pipeline_to_envelope,
     predict_pipeline,
     preprocess_config,
-    token_streams,
+    text_batch,
 )
 from .util import check_envelope, read_envelope, read_section, write_envelope
 
@@ -34,11 +35,12 @@ CASCADE_FORMAT = "ssd-cascade-v1"
 
 @dataclass(frozen=True)
 class CascadeModel:
-    """Three fitted stages that share one lexicon set and one preprocess
-    config. Both are checked once, at construction: the stages' lexicons
-    against the recorded fingerprints, so prediction never re-hashes them,
-    and each stage's preprocess config against stage 1's, so one token
-    stream per text serves every stage."""
+    """Three fitted stages that share one lexicon set, one preprocess
+    config and one feature list. All three are checked once, at
+    construction: the stages' lexicons against the recorded fingerprints,
+    so prediction never re-hashes them, and each stage's preprocess config
+    and features against stage 1's, so one token stream and one set of
+    lexicon rows per text serve every stage."""
 
     stage1: FittedPipeline
     stage2: FittedPipeline
@@ -56,6 +58,11 @@ class CascadeModel:
                 raise UsageError(
                     f"stage {i} preprocess config differs from stage 1's"
                 )
+            if stage.features != self.stage1.features:
+                raise UsageError(
+                    f"stage {i} features {list(stage.features)} differ from "
+                    f"stage 1's {list(self.stage1.features)}"
+                )
 
     def stages(self) -> tuple[FittedPipeline, FittedPipeline, FittedPipeline]:
         return (self.stage1, self.stage2, self.stage3)
@@ -65,14 +72,13 @@ def train_cascade(
     d: Dataset, cfg: ExperimentConfig, model_name: str | None = None
 ) -> CascadeModel:
     """Fit the three stage pipelines on their gold label views. Every view
-    holds labeled items only, and each of those is normalized once."""
+    holds labeled items only, and each of those is normalized and
+    featurized once."""
     lex = load_lexicons(cfg)
     pc = preprocess_config(cfg)
     labeled = [it for it in d if it.label is not None]
-    streams = dict(zip(
-        (it.comment.id for it in labeled),
-        token_streams([it.comment.text for it in labeled], pc),
-    ))
+    batch = text_batch([it.comment.text for it in labeled], pc, cfg.features, lex)
+    row_of = {it.comment.id: i for i, it in enumerate(labeled)}
     stages = []
     for subtask in SUBTASKS:
         try:
@@ -83,11 +89,12 @@ def train_cascade(
                 f"with a stage-{subtask} label"
             ) from None
         labels = view.labels(subtask)
+        rows = [row_of[it.comment.id] for it in view]
         stage_cfg = replace(cfg, subtask=subtask)
         try:
             stages.append(
                 fit_pipeline(
-                    [streams[it.comment.id] for it in view], labels, stage_cfg,
+                    batch.take(rows), labels, stage_cfg,
                     model_name=model_name,
                     lexicons=lex,
                     pcfg=pc,
@@ -113,9 +120,10 @@ def cascade_predict_batch(
     """Predict hierarchical labels for a batch, gating stages by upstream
     verdicts: a stage scores the rows whose previous verdict is its opener.
     Probabilities are the chosen class's score at each reached stage;
-    unreached stages report None. Each text is normalized once, and a stage
-    is handed the token streams of its rows."""
-    streams = token_streams(texts, m.stage1.preprocess)
+    unreached stages report None. Each text is normalized and featurized
+    once, and a stage is handed its rows of that batch."""
+    first = m.stage1
+    batch = text_batch(texts, first.preprocess, first.features, first.lexicons)
     reached: list[list[tuple[str, float]]] = [[] for _ in texts]
     rows = list(range(len(texts)))
     for stage, spec in zip(m.stages(), SUBTASKS.values()):
@@ -123,7 +131,7 @@ def cascade_predict_batch(
             rows = [i for i in rows if reached[i][-1][0] == spec.opener]
         if not rows:
             break
-        stage_labels, proba = predict_pipeline(stage, [streams[i] for i in rows])
+        stage_labels, proba = predict_pipeline(stage, batch.take(rows))
         column = {c: j for j, c in enumerate(stage.classes)}
         for i, lab, pr in zip(rows, stage_labels, proba):
             reached[i].append((lab, float(pr[column[lab]])))

@@ -27,6 +27,7 @@ from .pipeline import (
     LEXICON_BLOCKS,
     ExperimentConfig,
     LexiconSet,
+    TextBatch,
     _feature_matrix,
     class_order,
     extract_dense_blocks,
@@ -35,6 +36,7 @@ from .pipeline import (
     load_lexicons,
     preprocess_config,
     score,
+    text_batch,
 )
 from .preprocess import PreprocessConfig, default_config, normalize
 from .util import (
@@ -250,21 +252,18 @@ def _config_echo(cfg: ExperimentConfig) -> dict:
 
 def _evaluate_fold(
     cfg: ExperimentConfig,
-    streams,
+    batch: TextBatch,
     labels,
     classes,
-    lex: LexiconSet,
     fold_index: int,
     train_idx,
     test_idx,
 ):
-    tr_streams = [streams[i] for i in train_idx]
-    te_streams = [streams[i] for i in test_idx]
     y_tr = [labels[i] for i in train_idx]
     y_te = [labels[i] for i in test_idx]
 
-    tfidf, scaler, fm_tr = fit_features(tr_streams, cfg, lex)
-    fm_te = _feature_matrix(te_streams, cfg.features, lex, tfidf, cfg.scaling, scaler)
+    tfidf, scaler, fm_tr = fit_features(batch.take(train_idx), cfg)
+    fm_te = _feature_matrix(batch.take(test_idx), tfidf, cfg.scaling, scaler)
 
     fingerprints = {"train_size": len(train_idx), "test_size": len(test_idx)}
     if tfidf is not None:
@@ -293,6 +292,8 @@ def cross_validate(cfg: ExperimentConfig, dataset: Dataset | None = None) -> CVR
 
     All fitted state (vectorizer, scaler, models) comes from the training
     split of each fold; the test split is only ever transformed and scored.
+    Each text is normalized and its lexicon rows extracted once, for every
+    fold: those depend on the text alone, not on any fitted state.
     """
     ds = dataset if dataset is not None else load_dataset(cfg.dataset)
     view = stage_view(ds, cfg.subtask)
@@ -301,10 +302,10 @@ def cross_validate(cfg: ExperimentConfig, dataset: Dataset | None = None) -> CVR
     classes = class_order(labels, cfg.subtask)
     lex = load_lexicons(cfg)
     pc = preprocess_config(cfg)
-    streams = [normalize(t, pc) for t in texts]
+    batch = text_batch(texts, pc, cfg.features, lex)
     folds = stratified_kfold_labels(labels, cfg.folds, cfg.seed)
     outcomes = [
-        _evaluate_fold(cfg, streams, labels, classes, lex, i, tr, te)
+        _evaluate_fold(cfg, batch, labels, classes, i, tr, te)
         for i, (tr, te) in enumerate(folds)
     ]
 

@@ -147,11 +147,14 @@ def load_category_lexicon(path: str) -> CategoryLexicon:
 
 def liwc_features(ts: TokenStream, lex: CategoryLexicon) -> np.ndarray:
     """Word count followed by percent-of-tokens scores per category."""
+    counts = [0] * len(lex.categories)
+    hits = lex._hits
+    for tok in ts.tokens:
+        for i in hits(tok):
+            counts[i] += 1
     n = len(ts.tokens)
-    counts = np.bincount(
-        [i for tok in ts.tokens for i in lex._hits(tok)], minlength=len(lex.categories)
-    )
-    return np.concatenate(([float(n)], 100.0 * counts / max(1, n)))
+    denom = max(1, n)
+    return np.array([float(n)] + [100.0 * c / denom for c in counts])
 
 
 # ---------------------------------------------------------------------------
@@ -185,14 +188,20 @@ def load_emotion_lexicon(path: str) -> EmotionLexicon:
     return EmotionLexicon({w: frozenset(es) for w, es in assoc.items()})
 
 
+# each emotion's column in an emotion row
+_EMOTION_INDEX = {e: i for i, e in enumerate(EMOTIONS)}
+
+
 def emotion_features(ts: TokenStream, lex: EmotionLexicon) -> np.ndarray:
     """Raw per-emotion token counts in EMOTIONS order."""
-    counts = np.zeros(len(EMOTIONS))
-    index = {e: i for i, e in enumerate(EMOTIONS)}
+    counts = [0] * len(EMOTIONS)
+    entries = lex.entries
     for tok in ts.tokens:
-        for emotion in lex.entries.get(tok, ()):
-            counts[index[emotion]] += 1
-    return counts
+        emotions = entries.get(tok)
+        if emotions:
+            for emotion in emotions:
+                counts[_EMOTION_INDEX[emotion]] += 1
+    return np.array(counts, dtype=float)
 
 
 # ---------------------------------------------------------------------------
@@ -210,6 +219,11 @@ class ValenceLexicon:
         for word, v in self.entries.items():
             if not math.isfinite(v) or abs(v) > 4:
                 raise DataError(f"valence for {word!r} outside [-4, 4]: {v}")
+        for word, inc in self.boosters.items():
+            if not math.isfinite(inc):
+                raise DataError(f"booster increment for {word!r} is not finite: {inc}")
+        if not math.isfinite(self.negation_factor):
+            raise DataError(f"negation factor is not finite: {self.negation_factor}")
         overlap = self.negators & self.boosters.keys()
         if overlap:
             raise DataError(f"negators and boosters overlap: {sorted(overlap)}")
@@ -256,6 +270,8 @@ def load_valence_lexicon(
                 elif len(parts) == 2:
                     try:
                         boosters[parts[0]] = float(parts[1])
+                        if not math.isfinite(boosters[parts[0]]):
+                            raise ValueError
                     except ValueError:
                         raise FormatError(
                             f"{boosters_path}:{lineno}: bad increment {parts[1]!r}"
@@ -269,25 +285,31 @@ def load_valence_lexicon(
 
 def sentiment_scores(ts: TokenStream, lex: ValenceLexicon) -> tuple[float, float, float]:
     """(neg, neu, pos) proportions; an empty or valence-free stream scores
-    fully neutral."""
-    toks = ts.tokens
+    fully neutral. A valence word takes the increment of a booster just
+    before it, in the direction of its sign, then the negation factor when
+    a negator is among the three tokens before it."""
+    negators, boosters, entries = lex.negators, lex.boosters, lex.entries
     pos_mass = neg_mass = 0.0
     neutral = 0
-    for i, tok in enumerate(toks):
-        if tok in lex.negators or tok in lex.boosters:
-            continue
-        v = lex.entries.get(tok, 0.0)
-        if v == 0.0:
-            neutral += 1
-            continue
-        if i > 0 and toks[i - 1] in lex.boosters:
-            v += math.copysign(lex.boosters[toks[i - 1]], v)
-        if any(t in lex.negators for t in toks[max(0, i - 3) : i]):
-            v *= lex.negation_factor
-        if v > 0:
-            pos_mass += v + 1
-        elif v < 0:
-            neg_mass += -v + 1
+    last_negator = -4  # the latest negator's position; -4 is none in reach
+    prev = None
+    for i, tok in enumerate(ts.tokens):
+        if tok in negators:
+            last_negator = i
+        elif tok not in boosters:
+            v = entries.get(tok, 0.0)
+            if v == 0.0:
+                neutral += 1
+            else:
+                if prev in boosters:
+                    v += math.copysign(boosters[prev], v)
+                if last_negator >= i - 3:
+                    v *= lex.negation_factor
+                if v > 0:
+                    pos_mass += v + 1
+                elif v < 0:
+                    neg_mass += -v + 1
+        prev = tok
     denom = pos_mass + neg_mass + neutral
     if denom == 0:
         return (0.0, 1.0, 0.0)
@@ -300,10 +322,18 @@ def sentiment_scores(ts: TokenStream, lex: ValenceLexicon) -> tuple[float, float
 
 @dataclass(frozen=True)
 class TfidfVectorizer:
+    """A fitted vocabulary and its idf weights. The weights are also kept
+    as a list of Python floats, made once, so that transforming one text
+    never converts the whole vector."""
+
     vocabulary: dict[str, int]
     idf: np.ndarray
     min_df: int
     max_features: int
+    _idf: list[float] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_idf", self.idf.tolist())
 
 
 # what a TF-IDF fit applies for each setting a caller leaves out
@@ -336,27 +366,33 @@ def fit_tfidf(
 def transform_tfidf_corpus(
     v: TfidfVectorizer, streams: Iterable[TokenStream]
 ) -> sparse.csr_matrix:
-    """Count x idf per document, L2-normalized; all-zero rows stay zero."""
+    """Count x idf per document, L2-normalized; all-zero rows stay zero.
+    A row's norm is `math.sqrt(a.dot(a))` of its own array, as
+    `np.linalg.norm` takes it, and a row whose norm is not positive (zero,
+    or NaN from a non-finite idf) is left undivided."""
+    vocabulary, idf = v.vocabulary, v._idf
     indptr = [0]
     indices: list[int] = []
     rows_data: list[np.ndarray] = [np.empty(0)]  # so no rows concatenate too
+    norms: list[float] = []
     for ts in streams:
         counts: dict[int, int] = {}
         for tok in ts.tokens:
-            j = v.vocabulary.get(tok)
+            j = vocabulary.get(tok)
             if j is not None:
                 counts[j] = counts.get(j, 0) + 1
         cols = sorted(counts)
-        vals = np.array([counts[j] * v.idf[j] for j in cols])
-        norm = np.linalg.norm(vals)
-        if norm > 0:
-            vals = vals / norm
+        vals = np.array([counts[j] * idf[j] for j in cols])
+        norms.append(math.sqrt(vals.dot(vals)))
         indices.extend(cols)
         rows_data.append(vals)
         indptr.append(len(indices))
+    data = np.concatenate(rows_data)
+    scale = np.array(norms)
+    scale[~(scale > 0)] = 1.0  # x / 1.0 is x, bit for bit
+    data /= np.repeat(scale, np.diff(indptr))
     return sparse.csr_matrix(
-        (np.concatenate(rows_data), indices, indptr),
-        shape=(len(indptr) - 1, len(v.vocabulary)),
+        (data, indices, indptr), shape=(len(indptr) - 1, len(vocabulary))
     )
 
 

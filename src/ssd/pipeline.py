@@ -393,38 +393,76 @@ class FittedPipeline:
         return self.lexicons.fingerprints()
 
 
-def _feature_matrix(
-    streams: Sequence[TokenStream],
+@dataclass(frozen=True)
+class TextBatch:
+    """Texts normalized under one preprocess config, with the raw rows of
+    each lexicon block a feature list names, extracted with one lexicon
+    set. A dense row is a function of its own text alone, so `take(rows)`
+    holds the same arrays that extracting those texts anew would give; the
+    stages of a cascade and the folds of `cv` take their rows of one batch,
+    so each text is normalized and featurized once per call."""
+
+    streams: Sequence[TokenStream]
+    blocks: list[tuple[str, np.ndarray]]  # extract_dense_blocks' result
+
+    def __len__(self) -> int:
+        return len(self.streams)
+
+    def take(self, rows: Sequence[int]) -> TextBatch:
+        """The batch of the texts at positions `rows`, in that order; every
+        row in order is this batch itself, not a copy of its arrays."""
+        if list(rows) == list(range(len(self))):
+            return self
+        return TextBatch(
+            [self.streams[i] for i in rows],
+            [(block, matrix[rows]) for block, matrix in self.blocks],
+        )
+
+
+def text_batch(
+    texts: Sequence[str] | TextBatch,
+    pc: PreprocessConfig,
     features: Sequence[str],
     lex: LexiconSet,
+) -> TextBatch:
+    """Each text normalized under `pc` and featurized with `lex`. A
+    TextBatch passes through as texts already made so under the same
+    config, features and lexicons. (perfbench/spans.py wraps `normalize`
+    in this module.)"""
+    if isinstance(texts, TextBatch):
+        return texts
+    streams = [normalize(t, pc) for t in texts]
+    return TextBatch(streams, extract_dense_blocks(streams, features, lex))
+
+
+def _feature_matrix(
+    batch: TextBatch,
     tfidf: TfidfVectorizer | None,
     scaling: str,
     scaler: Scaler | None,
 ) -> FeatureMatrix:
-    blocks = extract_dense_blocks(streams, features, lex)
+    blocks = list(batch.blocks)
     if tfidf is not None:
-        blocks.append(("tfidf", transform_tfidf_corpus(tfidf, streams)))
+        blocks.append(("tfidf", transform_tfidf_corpus(tfidf, batch.streams)))
     return combine_features(blocks, scaling=scaling, fit_stats=scaler)
 
 
 def fit_features(
-    streams: Sequence[TokenStream], cfg: ExperimentConfig, lex: LexiconSet
+    batch: TextBatch, cfg: ExperimentConfig
 ) -> tuple[TfidfVectorizer | None, Scaler | None, FeatureMatrix]:
-    """Fit the vectorizer and scaler on training streams and return them
-    with the training matrix; each dense block is extracted once."""
+    """Fit the vectorizer and scaler on a training batch and return them
+    with the training matrix."""
     tfidf = None
     if "tfidf" in cfg.features:
-        tfidf = fit_tfidf(streams, **cfg.tfidf_params)
-    blocks = extract_dense_blocks(streams, cfg.features, lex)
+        tfidf = fit_tfidf(batch.streams, **cfg.tfidf_params)
     scaler = None
     if cfg.scaling == "zscore":
         dense = (
-            np.hstack([b for _, b in blocks]) if blocks else np.empty((len(streams), 0))
+            np.hstack([b for _, b in batch.blocks]) if batch.blocks
+            else np.empty((len(batch), 0))
         )
         scaler = fit_feature_scaler(dense)
-    if tfidf is not None:
-        blocks.append(("tfidf", transform_tfidf_corpus(tfidf, streams)))
-    return tfidf, scaler, combine_features(blocks, scaling=cfg.scaling, fit_stats=scaler)
+    return tfidf, scaler, _feature_matrix(batch, tfidf, cfg.scaling, scaler)
 
 
 def fit_models(
@@ -464,18 +502,8 @@ def fit_models(
     return out
 
 
-def token_streams(
-    texts: Sequence[str | TokenStream], pc: PreprocessConfig
-) -> list[TokenStream]:
-    """Each text normalized under `pc`. A TokenStream passes through as a
-    text already normalized under `pc`, so a caller that fits or labels
-    several pipelines of one config normalizes each text once.
-    (perfbench/spans.py wraps `normalize` in this module.)"""
-    return [t if isinstance(t, TokenStream) else normalize(t, pc) for t in texts]
-
-
 def fit_pipeline(
-    texts: Sequence[str | TokenStream],
+    texts: Sequence[str] | TextBatch,
     labels: Sequence[str],
     cfg: ExperimentConfig,
     model_name: str | None = None,
@@ -484,13 +512,12 @@ def fit_pipeline(
     fold_tag: tuple = (),
 ) -> FittedPipeline:
     """Fit one pipeline end to end on the given training texts, or on
-    their token streams under `pcfg`."""
+    their batch made under `pcfg`, `cfg.features` and `lexicons`."""
     if model_name is None:
         model_name = cfg.models[0]
     lex = lexicons if lexicons is not None else load_lexicons(cfg)
     pc = pcfg if pcfg is not None else preprocess_config(cfg)
-    streams = token_streams(texts, pc)
-    tfidf, scaler, fm = fit_features(streams, cfg, lex)
+    tfidf, scaler, fm = fit_features(text_batch(texts, pc, cfg.features, lex), cfg)
     classes = class_order(labels, cfg.subtask)
     # a voter keeps the base models the full config lists as its members
     single_cfg = replace(
@@ -504,12 +531,10 @@ def fit_pipeline(
 
 
 def pipeline_matrix(
-    p: FittedPipeline, texts: Sequence[str | TokenStream]
+    p: FittedPipeline, texts: Sequence[str] | TextBatch
 ) -> FeatureMatrix:
-    streams = token_streams(texts, p.preprocess)
-    return _feature_matrix(
-        streams, p.features, p.lexicons, p.tfidf, p.scaling, p.scaler
-    )
+    batch = text_batch(texts, p.preprocess, p.features, p.lexicons)
+    return _feature_matrix(batch, p.tfidf, p.scaling, p.scaler)
 
 
 def score(model, fm: FeatureMatrix) -> tuple[list[str], np.ndarray]:
@@ -519,7 +544,7 @@ def score(model, fm: FeatureMatrix) -> tuple[list[str], np.ndarray]:
 
 
 def predict_pipeline(
-    p: FittedPipeline, texts: Sequence[str | TokenStream]
+    p: FittedPipeline, texts: Sequence[str] | TextBatch
 ) -> tuple[list[str], np.ndarray]:
     return score(p.model, pipeline_matrix(p, texts))
 

@@ -173,3 +173,91 @@ def oracle_abbrev_expander(abbrev_map):
     alts = "|".join(re.escape(k) for k in sorted(folded, key=len, reverse=True))
     pattern = re.compile(rf"(?<![\w'’])(?:{alts})(?![\w'’])", re.IGNORECASE)
     return lambda text: pattern.sub(lambda m: folded[m.group(0).lower()], text)
+
+
+# ---------------------------------------------------------------------------
+# reference feature extractors: numpy counts, a per-call emotion index, an
+# `any()` over the negator window and a per-row `np.linalg.norm`
+
+
+def oracle_liwc_features(ts, lex):
+    """Word count followed by percent-of-tokens scores per category."""
+    import numpy as np
+
+    n = len(ts.tokens)
+    counts = np.bincount(
+        [i for tok in ts.tokens for i in lex._hits(tok)], minlength=len(lex.categories)
+    )
+    return np.concatenate(([float(n)], 100.0 * counts / max(1, n)))
+
+
+def oracle_emotion_features(ts, lex):
+    """Raw per-emotion token counts in EMOTIONS order."""
+    import numpy as np
+
+    from ssd.features import EMOTIONS
+
+    counts = np.zeros(len(EMOTIONS))
+    index = {e: i for i, e in enumerate(EMOTIONS)}
+    for tok in ts.tokens:
+        for emotion in lex.entries.get(tok, ()):
+            counts[index[emotion]] += 1
+    return counts
+
+
+def oracle_sentiment_scores(ts, lex):
+    """(neg, neu, pos) proportions; an empty or valence-free stream scores
+    fully neutral."""
+    import math
+
+    toks = ts.tokens
+    pos_mass = neg_mass = 0.0
+    neutral = 0
+    for i, tok in enumerate(toks):
+        if tok in lex.negators or tok in lex.boosters:
+            continue
+        v = lex.entries.get(tok, 0.0)
+        if v == 0.0:
+            neutral += 1
+            continue
+        if i > 0 and toks[i - 1] in lex.boosters:
+            v += math.copysign(lex.boosters[toks[i - 1]], v)
+        if any(t in lex.negators for t in toks[max(0, i - 3) : i]):
+            v *= lex.negation_factor
+        if v > 0:
+            pos_mass += v + 1
+        elif v < 0:
+            neg_mass += -v + 1
+    denom = pos_mass + neg_mass + neutral
+    if denom == 0:
+        return (0.0, 1.0, 0.0)
+    return (neg_mass / denom, neutral / denom, pos_mass / denom)
+
+
+def oracle_transform_tfidf_corpus(v, streams):
+    """Count x idf per document, each row divided by its `np.linalg.norm`
+    where that is positive."""
+    import numpy as np
+    from scipy import sparse
+
+    indptr = [0]
+    indices = []
+    rows_data = [np.empty(0)]
+    for ts in streams:
+        counts = {}
+        for tok in ts.tokens:
+            j = v.vocabulary.get(tok)
+            if j is not None:
+                counts[j] = counts.get(j, 0) + 1
+        cols = sorted(counts)
+        vals = np.array([counts[j] * v.idf[j] for j in cols])
+        norm = np.linalg.norm(vals)
+        if norm > 0:
+            vals = vals / norm
+        indices.extend(cols)
+        rows_data.append(vals)
+        indptr.append(len(indices))
+    return sparse.csr_matrix(
+        (np.concatenate(rows_data), indices, indptr),
+        shape=(len(indptr) - 1, len(v.vocabulary)),
+    )

@@ -77,3 +77,39 @@ def test_lexicon_extractors_are_traced(tmp_path, lexicon_files):
         assert rec.calls(f"features.{block}") == 65
         assert metrics[f"features.{block}_s"][0] > 0
     assert rec.calls("features.dense_blocks") == 2
+
+
+def test_cascade_featurizes_each_text_once(tmp_path, lexicon_files):
+    """A cascade call extracts the lexicon rows of the texts it is handed in
+    one dense-block pass, while TF-IDF rows, combining and scoring stay per
+    stage; the traced metrics still compute."""
+    spans = _spans()
+    before = _bindings()
+    rec = spans.Recorder()
+    ins = spans.instrument(rec)
+    try:
+        ds = make_support_corpus(120, seed=63, hierarchical=True)
+        cfg = config_from_dict({
+            "dataset": "d.csv", "subtask": 1,
+            "features": ["liwc", "emotion", "sentiment", "tfidf"], "scaling": "zscore",
+            "models": ["lr"], "tfidf": {"min_df": 1}, "lexicons": lexicon_files,
+        }, str(tmp_path))
+        model = cascade.train_cascade(ds, cfg)
+        texts = make_support_corpus(40, seed=64, hierarchical=True).texts()
+        cascade.cascade_predict_batch(model, texts)
+        metrics = spans.layer_metrics(rec)
+    finally:
+        ins.restore()
+    assert _bindings() == before
+    assert rec.calls("cascade.train") == rec.calls("cascade.predict_batch") == 1
+    assert rec.calls("features.dense_blocks") == 2
+    assert rec.counts["dense_rows"] == len(ds) + len(texts)
+    # every stage is fitted, and every stage labels some of the texts
+    assert all(rec.counts[f"stage{stage}_items"] for stage in (1, 2, 3))
+    assert rec.calls("pipeline.fit") == rec.calls("pipeline.predict") == 3
+    for span in ("features.transform_tfidf", "features.combine"):
+        assert rec.calls(span) == 6
+    assert metrics["cascade.stage1_items"][0] == len(texts)
+    assert 0 < metrics["features.dense_rows_per_row"][0] < 1
+    for block in ("liwc", "emotion", "sentiment"):
+        assert rec.calls(f"features.{block}") == len(ds) + len(texts)

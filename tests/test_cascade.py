@@ -278,7 +278,32 @@ class TestSharedPreprocess:
         with pytest.raises(UsageError, match="stage 3 preprocess"):
             dataclasses.replace(cascade_setup["model"], stage3=other.stage3)
 
-    def test_each_text_normalized_once(self, cascade_setup, monkeypatch):
+    def test_stage_with_other_features_rejected(self, tmp_path, lexicon_files, capsys):
+        from ssd.cli import main
+
+        ds = make_support_corpus(120, seed=17, hierarchical=True)
+        category = {"category": lexicon_files["category"]}
+        env, other = (
+            json.loads(json.dumps(cascade_to_envelope(train_cascade(
+                ds, hier_config(tmp_path, "unused.csv", features=features,
+                                lexicons=category)))))
+            for features in (["liwc", "tfidf"], ["liwc"])
+        )
+        # same lexicons and preprocess config, so only the feature lists differ
+        env["stages"]["2"] = other["stages"]["2"]
+        path = tmp_path / "cascade.json"
+        path.write_text(json.dumps(env))
+        with pytest.raises(UsageError, match="stage 2 features"):
+            load_cascade(str(path))
+        texts = tmp_path / "texts.txt"
+        texts.write_text("bless hope friend brother\n")
+        capsys.readouterr()
+        assert main(["cascade-predict", "--model", str(path), "--input", str(texts)]) == 1
+        assert "stage 2 features" in capsys.readouterr().err
+
+    def test_each_text_normalized_once(self, cascade_setup, lexicon_files, monkeypatch):
+        """Each text is normalized and run through each lexicon extractor
+        once per training call and once per labeling call."""
         from ssd import cascade, pipeline
 
         calls = []
@@ -289,10 +314,22 @@ class TestSharedPreprocess:
             return original(text, pc)
 
         monkeypatch.setattr(pipeline, "normalize", counted)
+        extracted = dict.fromkeys(pipeline.LEXICON_BLOCKS, 0)
+        for block, row in pipeline.LEXICON_BLOCKS.items():
+            def counted_extract(ts, lex, block=block, extract=getattr(pipeline, row.extractor)):
+                extracted[block] += 1
+                return extract(ts, lex)
+
+            monkeypatch.setattr(pipeline, row.extractor, counted_extract)
         ds = cascade_setup["ds"]
-        model = train_cascade(ds, cascade_setup["cfg"])
+        cfg = dataclasses.replace(
+            cascade_setup["cfg"], features=["liwc", "emotion", "sentiment", "tfidf"],
+            scaling="zscore", lexicon_paths=lexicon_files)
+        model = train_cascade(ds, cfg)
         assert sorted(calls) == sorted(ds.texts())
+        assert extracted == dict.fromkeys(pipeline.LEXICON_BLOCKS, len(ds))
         calls.clear()
+        extracted.update(dict.fromkeys(extracted, 0))
 
         # the benchmark's stage-items check swaps in a two-argument wrapper
         items = [0, 0, 0]
@@ -306,12 +343,36 @@ class TestSharedPreprocess:
         texts = make_support_corpus(80, seed=71, hierarchical=True).texts()
         preds = cascade_predict_batch(model, texts)
         assert calls == texts
+        assert extracted == dict.fromkeys(pipeline.LEXICON_BLOCKS, len(texts))
         assert items == [
             len(texts),
             sum(p.label.support == "SS" for p in preds),
             sum(p.label.target == "Group" for p in preds),
         ]
         assert 0 < items[2] < items[1] < items[0]
+
+
+def test_shared_batch_equals_stages_fitted_one_by_one(tmp_path, lexicon_files):
+    """A cascade whose stages take their rows of one batch is byte-identical
+    to one whose stages are each fitted on their own raw texts."""
+    from ssd.cascade import CascadeModel
+    from ssd.corpus import SUBTASKS, stage_view
+    from ssd.pipeline import fit_pipeline, load_lexicons
+    from ssd.util import canonical_json
+
+    ds = make_support_corpus(260, seed=13, hierarchical=True)
+    cfg = hier_config(tmp_path, "unused.csv",
+                      features=["liwc", "emotion", "sentiment", "tfidf"],
+                      scaling="zscore", lexicons=lexicon_files)
+    stages = []
+    for subtask in SUBTASKS:
+        view = stage_view(ds, subtask)
+        stages.append(fit_pipeline(view.texts(), view.labels(subtask),
+                                   dataclasses.replace(cfg, subtask=subtask),
+                                   fold_tag=("stage", subtask)))
+    one_by_one = CascadeModel(*stages, load_lexicons(cfg).fingerprints())
+    assert canonical_json(cascade_to_envelope(train_cascade(ds, cfg))) == \
+        canonical_json(cascade_to_envelope(one_by_one))
 
 
 def test_cascade_bytes_equal_under_the_alternation_passes(tmp_path, monkeypatch):

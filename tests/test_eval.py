@@ -32,6 +32,7 @@ from ssd.pipeline import (
     load_experiment_config,
     load_lexicons,
     preprocess_config,
+    text_batch,
 )
 from ssd.preprocess import normalize
 from ssd.util import canonical_json, derive_rng
@@ -216,12 +217,12 @@ class TestConfig:
             config_from_dict(self.base(**patch), str(tmp_path))
 
     def test_tfidf_defaults_are_the_applied_ones(self, tmp_path):
-        streams = [normalize(t, preprocess_config(ExperimentConfig("d.csv", 1)))
-                   for t in make_support_corpus(60, seed=1).texts()]
+        texts = make_support_corpus(60, seed=1).texts()
+        pc = preprocess_config(ExperimentConfig("d.csv", 1))
         for tfidf, applied in [({}, (2, 20000)), ({"min_df": 1}, (1, 20000)),
                                ({"max_features": 50}, (2, 50))]:
             cfg = config_from_dict(self.base(tfidf=tfidf), str(tmp_path))
-            vectorizer = fit_features(streams, cfg, LexiconSet())[0]
+            vectorizer = fit_features(text_batch(texts, pc, cfg.features, LexiconSet()), cfg)[0]
             assert (vectorizer.min_df, vectorizer.max_features) == applied
 
     @pytest.mark.parametrize("tfidf", [

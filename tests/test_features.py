@@ -13,6 +13,7 @@ from ssd.features import (
     EMOTIONS,
     CategoryLexicon,
     EmotionLexicon,
+    TfidfVectorizer,
     ValenceLexicon,
     combine_features,
     emotion_features,
@@ -204,6 +205,22 @@ class TestSentiment:
         with pytest.raises(DataError):
             ValenceLexicon({"w": 4.5})
 
+    @pytest.mark.parametrize("increment", ["nan", "inf", "-inf"])
+    def test_non_finite_booster_increment_names_its_line(self, tmp_path, increment):
+        val = tmp_path / "v.tsv"
+        val.write_text("strong\t2.0\n")
+        boo = tmp_path / "b.tsv"
+        boo.write_text(f"mega\t0.5\nsuper\t{increment}\n")
+        with pytest.raises(FormatError, match=f"b.tsv:2: bad increment '{increment}'"):
+            load_valence_lexicon(str(val), None, str(boo))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_increment_or_negation_factor_rejected(self, bad):
+        with pytest.raises(DataError, match="'super'"):
+            ValenceLexicon({"strong": 2.0}, boosters={"super": bad})
+        with pytest.raises(DataError, match="negation factor"):
+            ValenceLexicon({"strong": 2.0}, negation_factor=bad)
+
     def test_load_with_custom_modifier_files(self, tmp_path):
         val = tmp_path / "v.tsv"
         val.write_text("good\t2.0\n")
@@ -279,6 +296,129 @@ class TestTfidf:
             fit_tfidf([ts("a")], min_df=0, max_features=10)
         with pytest.raises(UsageError):
             fit_tfidf([ts("a")], min_df=1, max_features=0)
+
+
+# a small word pool, so that streams repeat their tokens and prefixes match
+# several words; TF-IDF rows draw from a larger one, so that a row can hold
+# more entries than a BLAS dot product sums one by one
+POOL = ("a", "ab", "abc", "b", "ba", "c", "ca", "d", "e", "f")
+TFIDF_POOL = tuple(f"t{k}" for k in range(40))
+UNKNOWN = ("zz", "qq")
+ROLES = ("negator", "booster", "plain")
+# values that reach the float paths' edge cases: signed zeros, and for a
+# hand-edited idf, NaN and infinities
+SIGNED_ZEROS = st.sampled_from([0.0, -0.0])
+IDF_VALUES = st.one_of(SIGNED_ZEROS, st.floats(-10, 10),
+                       st.sampled_from([math.nan, math.inf]))
+
+
+def streams_over(words, max_tokens=14):
+    tokens = st.sampled_from(words + UNKNOWN)
+    return st.lists(st.integers(0, max_tokens).flatmap(
+        lambda n: st.lists(tokens, min_size=n, max_size=n)).map(lambda toks: ts(*toks)),
+        max_size=6)
+
+
+@st.composite
+def category_lexicons(draw):
+    pattern = st.sampled_from(POOL).flatmap(
+        lambda w: st.sampled_from((w, w + "*", w[:1] + "*", "*")))
+    return CategoryLexicon(tuple(
+        (f"cat{k}", tuple(draw(st.lists(pattern, max_size=4))))
+        for k in range(draw(st.integers(0, 4)))
+    ))
+
+
+@st.composite
+def sentiment_cases(draw):
+    """A valence lexicon over POOL, and streams made of phrases: one or two
+    modifiers, 0-4 other tokens, then a word; so negators stand 1 to 6
+    tokens before a valence word, boosters just before one, and modifiers
+    next to each other."""
+    roles = dict(zip(POOL, draw(st.lists(st.sampled_from(ROLES),
+                                         min_size=len(POOL), max_size=len(POOL)))))
+    increments = st.one_of(SIGNED_ZEROS, st.floats(-2, 2))
+    valences = st.one_of(SIGNED_ZEROS, st.floats(-4, 4))
+    lex = ValenceLexicon(
+        {w: draw(valences) for w in POOL if draw(st.booleans())},
+        frozenset(w for w, r in roles.items() if r == "negator"),
+        {w: draw(increments) for w, r in roles.items() if r == "booster"},
+        draw(st.one_of(st.just(-0.74), SIGNED_ZEROS, st.floats(-3, 3))),
+    )
+    modifiers = sorted(lex.negators | lex.boosters.keys()) or list(UNKNOWN)
+    token = st.sampled_from(POOL + UNKNOWN)
+    phrase = st.tuples(
+        st.lists(st.sampled_from(modifiers), min_size=1, max_size=2),
+        st.lists(token, max_size=4),
+        st.sampled_from(sorted(lex.entries) or list(POOL)),
+    ).map(lambda p: [*p[0], *p[1], p[2]])
+    pieces = st.lists(st.one_of(phrase, token.map(lambda t: [t])), max_size=6)
+    streams = draw(st.lists(pieces.map(lambda ps: ts(*(t for p in ps for t in p))),
+                            max_size=5))
+    return lex, streams
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+class TestAgainstReferenceLoops:
+    """The extractors and the TF-IDF transform give, bit for bit, what the
+    reference loops in conftest.py give, over drawn lexicons and streams."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(category_lexicons(), streams_over(POOL))
+    def test_liwc_features(self, lex, streams):
+        from conftest import oracle_liwc_features
+
+        for stream in streams:
+            assert same_bits(liwc_features(stream, lex), oracle_liwc_features(stream, lex))
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.dictionaries(st.sampled_from(POOL),
+                           st.frozensets(st.sampled_from(EMOTIONS))),
+           streams_over(POOL))
+    def test_emotion_features(self, entries, streams):
+        from conftest import oracle_emotion_features
+
+        lex = EmotionLexicon(entries)
+        for stream in streams:
+            assert same_bits(emotion_features(stream, lex),
+                             oracle_emotion_features(stream, lex))
+
+    @settings(max_examples=200, deadline=None)
+    @given(sentiment_cases())
+    def test_sentiment_scores(self, case):
+        from conftest import oracle_sentiment_scores
+
+        lex, streams = case
+        for stream in streams:
+            got = sentiment_scores(stream, lex)
+            assert isinstance(got, tuple)
+            assert same_bits(got, oracle_sentiment_scores(stream, lex))
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_transform_tfidf_corpus(self, data):
+        from conftest import oracle_transform_tfidf_corpus
+
+        words = data.draw(st.lists(st.sampled_from(TFIDF_POOL), unique=True, min_size=1),
+                          label="vocabulary")
+        idf = data.draw(st.lists(IDF_VALUES, min_size=len(words), max_size=len(words)),
+                        label="idf")
+        v = TfidfVectorizer({w: j for j, w in enumerate(words)},
+                            np.array(idf, dtype=float), 1, len(words))
+        streams = data.draw(streams_over(TFIDF_POOL, 60), label="streams")
+        with np.errstate(invalid="ignore"):  # an infinite idf makes inf / inf
+            got = transform_tfidf_corpus(v, streams)
+            want = oracle_transform_tfidf_corpus(v, streams)
+        assert got.shape == want.shape
+        for part in ("indptr", "indices", "data"):
+            a, b = getattr(got, part), getattr(want, part)
+            assert a.dtype == b.dtype, part
+            assert np.array_equal(a.view(np.int64) if part == "data" else a,
+                                  b.view(np.int64) if part == "data" else b), part
 
 
 class TestCombine:

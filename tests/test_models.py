@@ -921,3 +921,43 @@ class TestEveryFamilyProperties:
                 proba = predict_proba(model, Z)
                 assert np.allclose(proba.sum(axis=1), 1.0, rtol=0.0, atol=1e-12), name
                 assert predict_proba(again, Z).tobytes() == proba.tobytes(), name
+
+
+class TestRowOrder:
+    """The families that draw no random numbers fit the same model whatever
+    the order of their training rows: `dt` bit for bit, on sparse and dense
+    input, and `lr` to within rounding, since its sums over rows run in
+    another order."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_permuted_rows_fit_the_same_model(self, data):
+        n = data.draw(st.integers(4, 14), label="rows")
+        d = data.draw(st.integers(1, 4), label="columns")
+        # few distinct values, so that rows, thresholds and impurities tie
+        values = st.sampled_from([0.0, 0.0, 1.0, -1.0, 0.5, 2.0])
+        X = np.array(data.draw(st.lists(st.lists(
+            values, min_size=d, max_size=d), min_size=n, max_size=n), label="X"))
+        y = ["a", "b"] + data.draw(
+            st.lists(st.sampled_from("abc"), min_size=n - 2, max_size=n - 2), label="y")
+        order = data.draw(st.permutations(range(n)), label="order")
+        X_perm, y_perm = X[order], [y[i] for i in order]
+        for form in (np.asarray, sparse.csr_matrix):
+            dt = train_dt(form(X), y, make_spec("dt"))
+            dt_perm = train_dt(form(X_perm), y_perm, make_spec("dt"))
+            assert predict_proba(dt_perm, form(X)).tobytes() == \
+                predict_proba(dt, form(X)).tobytes()
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            lr = train_lr(X, y, make_spec("lr"))
+            lr_perm = train_lr(X_perm, y_perm, make_spec("lr"))
+        proba = predict_proba(lr, X)
+        assert np.abs(predict_proba(lr_perm, X) - proba).max() <= 1e-9
+        margins = X @ lr.state["W"].T + lr.state["b"]
+        margins[:, ~lr.state["present"]] = -np.inf
+        top = np.sort(margins, axis=1)
+        clear = top[:, -1] - top[:, -2] > 1e-9
+        labels, labels_perm = predict(lr, X), predict(lr_perm, X)
+        assert [a for a, c in zip(labels, clear) if c] == \
+            [b for b, c in zip(labels_perm, clear) if c]

@@ -31,8 +31,8 @@ from ssd.pipeline import (
     predict_pipeline,
     preprocess_config,
     save_pipeline,
+    text_batch,
 )
-from ssd.preprocess import normalize
 
 from conftest import make_support_corpus
 
@@ -149,8 +149,8 @@ def test_default_densify_budget_admits_the_paper_scale_corpus(tmp_path):
         "lexicons": gen.write_paper_lexicons(str(tmp_path), vocab),
     }, str(tmp_path))
     texts = [row[1] for row in gen.paper_corpus(0, vocab)]
-    streams = [normalize(t, preprocess_config(cfg)) for t in texts]
-    n, d = matrix_for_family(fit_features(streams, cfg, load_lexicons(cfg))[2]).shape
+    batch = text_batch(texts, preprocess_config(cfg), cfg.features, load_lexicons(cfg))
+    n, d = matrix_for_family(fit_features(batch, cfg)[2]).shape
     assert n >= 9_900 and d > 2_000  # about 10 000 x 2 650
     for family in ("svm_rbf", "dt", "rf"):
         assert n * d <= M.make_spec(family).hyper("densify_budget")
