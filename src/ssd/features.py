@@ -249,6 +249,8 @@ def load_valence_lexicon(
                 valence = float(parts[1])
             except ValueError:
                 raise FormatError(f"{path}:{lineno}: bad valence {parts[1]!r}") from None
+            if not abs(valence) <= 4:  # NaN fails this too
+                raise FormatError(f"{path}:{lineno}: valence {parts[1]!r} outside [-4, 4]")
             entries[parts[0]] = valence
 
     negators = DEFAULT_NEGATORS

@@ -3,9 +3,10 @@
 Five families: one-vs-rest logistic regression (truncated Newton-CG on
 Hessian-vector products, with an Armijo line search on the exact objective,
 so the recorded loss trace never increases), one-vs-rest linear SVM
-(Pegasos subgradient schedule), one-vs-rest RBF kernel SVM (simplified
-sequential minimal optimization), a CART decision tree, and a bagged random
-forest. Soft and hard voting combine trained models.
+(Pegasos subgradient schedule), one-vs-rest RBF kernel SVM (sequential
+minimal optimization with LIBSVM's second-order working-set selection, on
+a kept dual gradient, drawing no random numbers), a CART decision tree, and
+a bagged random forest. Soft and hard voting combine trained models.
 
 Each family is one row of `FAMILIES`: its hyperparameters (defaults and
 admitted values), its fit, its scorer and its input form. This module
@@ -79,8 +80,9 @@ _MAX_DEPTH = Rule("null or an integer >= 1", lambda v: v is None or _AT_LEAST_ON
 _MIN_SPLIT = Rule("an integer >= 2", lambda v: _AT_LEAST_ONE.admits(v) and v >= 2)
 _GAMMA = Rule("'scale' or a positive number", lambda v: v == "scale" or _POSITIVE.admits(v))
 _BOOL = Rule("true or false", lambda v: isinstance(v, bool))
-# rows x columns a dense family may densify: 800 MB of float64, enough for
-# the paper's setting of ~10k comments with up to ~10k TF-IDF columns
+# rows x columns a dense family may densify, and rows x rows of svm_rbf's
+# training kernel: 800 MB of float64, enough for the paper's setting of
+# ~10k comments with up to ~10k TF-IDF columns
 _DENSIFY_BUDGET = (100_000_000, _AT_LEAST_ONE)
 
 
@@ -432,17 +434,19 @@ def _svm_linear_state(X, y, classes, spec: ModelSpec) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# RBF-kernel SVM (simplified SMO)
+# RBF-kernel SVM (SMO with second-order working-set selection)
 
 
 def _rbf_kernel(A: np.ndarray, B: np.ndarray, gamma: float) -> np.ndarray:
-    sq = (
-        np.sum(A * A, axis=1)[:, None]
-        + np.sum(B * B, axis=1)[None, :]
-        - 2.0 * A @ B.T
-    )
+    """exp(-gamma * |a - b|^2) for every row a of A and b of B, computed as
+    `exp(-gamma * max(|a|^2 + |b|^2 - 2 a.b, 0))` in two len(A) x len(B)
+    buffers, with no other temporary of that size."""
+    cross = 2.0 * A @ B.T
+    sq = np.add(np.sum(A * A, axis=1)[:, None], np.sum(B * B, axis=1)[None, :])
+    np.subtract(sq, cross, out=sq)
     np.maximum(sq, 0.0, out=sq)
-    return np.exp(-gamma * sq)
+    np.multiply(sq, -gamma, out=sq)
+    return np.exp(sq, out=sq)
 
 
 def resolve_gamma(gamma, X: np.ndarray) -> float:
@@ -455,73 +459,110 @@ def resolve_gamma(gamma, X: np.ndarray) -> float:
     return 1.0 / scaled
 
 
-def _fit_binary_smo(K, targets, C, tol, max_passes, rng):
-    n = K.shape[0]
+# stands in for a pair's curvature when it is not positive (LIBSVM's TAU)
+_TAU = 1e-12
+
+
+def _fit_binary_smo(K, targets, C, tol, max_passes):
+    """Minimize the dual 1/2 a.Qa - sum(a), Q = (y y') * K, over 0 <= a <= C
+    and y.a = 0 by SMO with second-order working-set selection (Fan, Chen &
+    Lin, JMLR 2005; the solver of LIBSVM, Chang & Lin, ACM TIST 2011).
+
+    The gradient G = Qa - 1 is kept current with two kernel rows a step.
+    Each step takes i, the row of I_up with the largest -y.G, and j, the
+    row of I_low whose pair with i promises the largest decrease of the
+    objective, and solves that two-variable problem exactly within the box.
+    The fit stops once the gap m(a) - M(a) between the largest -y.G over
+    I_up and the smallest over I_low is at most tol, or after
+    max_passes * n steps. Returns the multipliers, the intercept b (minus
+    LIBSVM's rho) and whether the step cap stopped the fit. No random
+    numbers are drawn."""
+    n = len(targets)
     alphas = np.zeros(n)
-    b = 0.0
-    passes = 0
-    while passes < max_passes:
-        changed = 0
-        for i in range(n):
-            err_i = float((alphas * targets) @ K[:, i]) + b - targets[i]
-            if (targets[i] * err_i < -tol and alphas[i] < C) or (
-                targets[i] * err_i > tol and alphas[i] > 0
-            ):
-                j = int(rng.integers(0, n - 1))
-                if j >= i:
-                    j += 1
-                err_j = float((alphas * targets) @ K[:, j]) + b - targets[j]
-                alpha_i, alpha_j = alphas[i], alphas[j]
-                if targets[i] != targets[j]:
-                    low = max(0.0, alpha_j - alpha_i)
-                    high = min(C, C + alpha_j - alpha_i)
-                else:
-                    low = max(0.0, alpha_i + alpha_j - C)
-                    high = min(C, alpha_i + alpha_j)
-                if low == high:
-                    continue
-                eta = 2.0 * K[i, j] - K[i, i] - K[j, j]
-                if eta >= 0:
-                    continue
-                new_j = alpha_j - targets[j] * (err_i - err_j) / eta
-                new_j = min(high, max(low, new_j))
-                if abs(new_j - alpha_j) < 1e-5:
-                    continue
-                new_i = alpha_i + targets[i] * targets[j] * (alpha_j - new_j)
-                b1 = (
-                    b
-                    - err_i
-                    - targets[i] * (new_i - alpha_i) * K[i, i]
-                    - targets[j] * (new_j - alpha_j) * K[i, j]
-                )
-                b2 = (
-                    b
-                    - err_j
-                    - targets[i] * (new_i - alpha_i) * K[i, j]
-                    - targets[j] * (new_j - alpha_j) * K[j, j]
-                )
-                if 0 < new_i < C:
-                    b = b1
-                elif 0 < new_j < C:
-                    b = b2
-                else:
-                    b = (b1 + b2) / 2.0
-                alphas[i], alphas[j] = new_i, new_j
-                changed += 1
-        passes = passes + 1 if changed == 0 else 0
-    return alphas, b
+    G = -np.ones(n)
+    diag = K.diagonal()
+    positive = targets > 0
+    steps = 0
+    while True:
+        score = -targets * G
+        up = np.where(positive, alphas < C, alphas > 0)
+        low = np.where(positive, alphas > 0, alphas < C)
+        up_score = np.where(up, score, -np.inf)
+        low_score = np.where(low, score, np.inf)
+        i = int(up_score.argmax())
+        m_up, m_low = up_score[i], low_score.min()
+        converged = m_up - m_low <= tol
+        if converged or steps == max_passes * n:
+            break
+        # j minimizes -gain^2 / curvature over the rows of I_low that
+        # violate the optimality condition with i (gain > 0)
+        gain = m_up - low_score
+        curvature = diag[i] + diag - 2.0 * K[i]
+        curvature[curvature <= 0] = _TAU
+        j = int(np.where(gain > 0, -(gain * gain) / curvature, np.inf).argmin())
+        old_i, old_j = alphas[i], alphas[j]
+        if targets[i] != targets[j]:
+            delta = (-G[i] - G[j]) / curvature[j]
+            diff = old_i - old_j
+            new_i, new_j = old_i + delta, old_j + delta
+            if diff > 0:
+                if new_j < 0:
+                    new_i, new_j = diff, 0.0
+                if new_i > C:
+                    new_i, new_j = C, C - diff
+            else:
+                if new_i < 0:
+                    new_i, new_j = 0.0, -diff
+                if new_j > C:
+                    new_i, new_j = C + diff, C
+        else:
+            delta = (G[i] - G[j]) / curvature[j]
+            total = old_i + old_j
+            new_i, new_j = old_i - delta, old_j + delta
+            if total > C:
+                if new_i > C:
+                    new_i, new_j = C, total - C
+                if new_j > C:
+                    new_i, new_j = total - C, C
+            else:
+                if new_j < 0:
+                    new_i, new_j = total, 0.0
+                if new_i < 0:
+                    new_i, new_j = 0.0, total
+        alphas[i], alphas[j] = new_i, new_j
+        G += targets * (K[i] * (targets[i] * (new_i - old_i))
+                        + K[j] * (targets[j] * (new_j - old_j)))
+        steps += 1
+    free = (alphas > 0) & (alphas < C)
+    # with no free multiplier, b is the midpoint of the bounds m and M
+    b = score[free].mean() if free.any() else (m_up + m_low) / 2.0
+    return alphas, float(b), not converged
+
+
+SVM_RBF_CAPPED_WARNING = (
+    "RBF SVM stopped at max_passes x rows SMO steps before its optimality "
+    "gap fell to tol; raise max_passes or tol"
+)
 
 
 def _svm_rbf_state(X, y, classes, spec: ModelSpec) -> dict:
+    n, budget = X.shape[0], spec.hyper("densify_budget")
+    if n * n > budget:
+        raise DataError(
+            f"the {n}x{n} training kernel exceeds the {spec.family} "
+            f"densify_budget of {budget} elements"
+        )
     gamma = resolve_gamma(spec.hyper("gamma"), X)
     K = _rbf_kernel(X, X, gamma)
     # entries lie in [0, 1], so only a NaN one (from overflow) makes the sum NaN
     if math.isnan(K.sum()):
         raise DataError(f"{spec.family} {_OVERFLOWED}")
     C, tol, max_passes = spec.hyper("C"), spec.hyper("tol"), spec.hyper("max_passes")
+    capped = []
 
     def fit_binary(targets, rng):
-        alphas, b = _fit_binary_smo(K, targets, C, tol, max_passes, rng)
+        alphas, b, stopped_at_cap = _fit_binary_smo(K, targets, C, tol, max_passes)
+        capped.append(stopped_at_cap)
         keep = alphas > 0
         return {
             "alphas": alphas[keep] * targets[keep],
@@ -531,6 +572,9 @@ def _svm_rbf_state(X, y, classes, spec: ModelSpec) -> dict:
         }
 
     machines, present = _one_vs_rest(y, classes, spec, -1.0, fit_binary)
+    if any(capped):
+        # _svm_rbf_state < _train < train_svm_rbf < its caller
+        warnings.warn(SVM_RBF_CAPPED_WARNING, stacklevel=4)
     return {"machines": machines, "gamma": gamma, "present": present}
 
 

@@ -261,3 +261,95 @@ def oracle_transform_tfidf_corpus(v, streams):
         (np.concatenate(rows_data), indices, indptr),
         shape=(len(indptr) - 1, len(v.vocabulary)),
     )
+
+
+def oracle_rbf_kernel(A, B, gamma):
+    """The RBF kernel as one expression, with its four temporaries."""
+    import numpy as np
+
+    sq = (
+        np.sum(A * A, axis=1)[:, None]
+        + np.sum(B * B, axis=1)[None, :]
+        - 2.0 * A @ B.T
+    )
+    np.maximum(sq, 0.0, out=sq)
+    return np.exp(-gamma * sq)
+
+
+def reference_simplified_smo(K, targets, C, tol, max_passes, rng):
+    """Simplified SMO: visit every row in turn, recompute its error, pair a
+    KKT violator with a random partner, and stop after `max_passes`
+    consecutive passes that change nothing. Returns (alphas, b)."""
+    import numpy as np
+
+    n = K.shape[0]
+    alphas = np.zeros(n)
+    b = 0.0
+    passes = 0
+    while passes < max_passes:
+        changed = 0
+        for i in range(n):
+            err_i = float((alphas * targets) @ K[:, i]) + b - targets[i]
+            if (targets[i] * err_i < -tol and alphas[i] < C) or (
+                targets[i] * err_i > tol and alphas[i] > 0
+            ):
+                j = int(rng.integers(0, n - 1))
+                if j >= i:
+                    j += 1
+                err_j = float((alphas * targets) @ K[:, j]) + b - targets[j]
+                alpha_i, alpha_j = alphas[i], alphas[j]
+                if targets[i] != targets[j]:
+                    low = max(0.0, alpha_j - alpha_i)
+                    high = min(C, C + alpha_j - alpha_i)
+                else:
+                    low = max(0.0, alpha_i + alpha_j - C)
+                    high = min(C, alpha_i + alpha_j)
+                if low == high:
+                    continue
+                eta = 2.0 * K[i, j] - K[i, i] - K[j, j]
+                if eta >= 0:
+                    continue
+                new_j = alpha_j - targets[j] * (err_i - err_j) / eta
+                new_j = min(high, max(low, new_j))
+                if abs(new_j - alpha_j) < 1e-5:
+                    continue
+                new_i = alpha_i + targets[i] * targets[j] * (alpha_j - new_j)
+                b1 = (
+                    b
+                    - err_i
+                    - targets[i] * (new_i - alpha_i) * K[i, i]
+                    - targets[j] * (new_j - alpha_j) * K[i, j]
+                )
+                b2 = (
+                    b
+                    - err_j
+                    - targets[i] * (new_i - alpha_i) * K[i, j]
+                    - targets[j] * (new_j - alpha_j) * K[j, j]
+                )
+                if 0 < new_i < C:
+                    b = b1
+                elif 0 < new_j < C:
+                    b = b2
+                else:
+                    b = (b1 + b2) / 2.0
+                alphas[i], alphas[j] = new_i, new_j
+                changed += 1
+        passes = passes + 1 if changed == 0 else 0
+    return alphas, b
+
+
+def smo_dual_objective(K, targets, alphas):
+    """1/2 a.Qa - sum(a) with Q = (y y') * K, the objective SMO minimizes."""
+    ay = alphas * targets
+    return 0.5 * float(ay @ K @ ay) - float(alphas.sum())
+
+
+def smo_gap(K, targets, alphas, C):
+    """m(a) - M(a): the largest -y.G over I_up less the smallest over
+    I_low, with the gradient G = Qa - 1 computed afresh."""
+    import numpy as np
+
+    score = -targets * (targets * (K @ (alphas * targets)) - 1.0)
+    up = np.where(targets > 0, alphas < C, alphas > 0)
+    low = np.where(targets > 0, alphas > 0, alphas < C)
+    return float(score[up].max() - score[low].min())

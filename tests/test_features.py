@@ -214,6 +214,15 @@ class TestSentiment:
         with pytest.raises(FormatError, match=f"b.tsv:2: bad increment '{increment}'"):
             load_valence_lexicon(str(val), None, str(boo))
 
+    @pytest.mark.parametrize("valence", ["nan", "inf", "-inf", "4.5", "-4.0001"])
+    def test_bad_valence_names_its_line(self, tmp_path, valence):
+        val = tmp_path / "v.tsv"
+        val.write_text(f"strong\t2.0\ngood\t{valence}\n")
+        with pytest.raises(FormatError, match=f"v.tsv:2: valence '{valence}' outside"):
+            load_valence_lexicon(str(val))
+        val.write_text("edge\t-4\nother\t4.0\n")  # the bounds themselves load
+        assert load_valence_lexicon(str(val)).entries == {"edge": -4.0, "other": 4.0}
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_increment_or_negation_factor_rejected(self, bad):
         with pytest.raises(DataError, match="'super'"):

@@ -31,6 +31,13 @@ from ssd.models import (
 )
 from ssd.util import canonical_json, derive_rng
 
+from conftest import (
+    oracle_rbf_kernel,
+    reference_simplified_smo,
+    smo_dual_objective,
+    smo_gap,
+)
+
 XOR_X = np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]])
 XOR_Y = ["a", "b", "b", "a"]
 
@@ -213,6 +220,92 @@ class TestNewtonSolver:
             assert (np.diff(trace) <= 0.0).all()
             targets = np.array([1.0 if v == cls else 0.0 for v in y])
             assert trace[-1] <= gradient_descent_lr(X, targets, C) + 1e-12
+
+
+class TestSmo:
+    """The WSS2 SMO solver against the simplified SMO it replaced
+    (`reference_simplified_smo`), on random RBF kernels."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_solves_the_dual_within_tol(self, data):
+        n = data.draw(st.integers(2, 40), label="rows")
+        distinct = data.draw(st.integers(1, n), label="distinct rows")
+        positives = data.draw(st.one_of(st.just(1), st.just(n - 1), st.integers(1, n - 1)),
+                              label="rows of the +1 class")
+        C = data.draw(st.sampled_from([0.05, 1.0, 20.0]), label="C")
+        gamma = data.draw(st.sampled_from([0.02, 0.5, 8.0]), label="gamma")
+        tol = data.draw(st.sampled_from([0.0, 1e-6, 1e-3, 0.5]), label="tol")
+        max_passes = data.draw(st.sampled_from([1, 10]), label="max_passes")
+        rng = derive_rng(data.draw(st.integers(0, 2**16), label="seed"), "smo")
+        # rows drawn from a pool of `distinct` points, so some repeat, and
+        # a repeated row may carry both labels
+        X = rng.normal(size=(distinct, 3))[rng.integers(0, distinct, size=n)]
+        targets = np.where(rng.permutation(n) < positives, 1.0, -1.0)
+        K = M._rbf_kernel(X, X, gamma)
+
+        alphas, b, capped = M._fit_binary_smo(K, targets, C, tol, max_passes)
+        assert (alphas >= 0).all() and (alphas <= C).all()
+        assert abs(float(alphas @ targets)) <= 1e-9 * n * C
+        slack = 1e-9 * n * C  # G is kept, the gap here is recomputed
+        if not capped:
+            assert smo_gap(K, targets, alphas, C) <= tol + slack
+            # b puts every free multiplier's row on its margin, within the gap
+            free = (alphas > 0) & (alphas < C)
+            margins = targets * (K @ (alphas * targets) + b)
+            assert (np.abs(margins[free] - 1.0) <= tol + slack).all()
+        rerun = M._fit_binary_smo(K, targets, C, tol, max_passes)
+        assert rerun[0].tobytes() == alphas.tobytes() and rerun[1:] == (b, capped)
+
+        if tol == 1e-6 and not capped:
+            ref, _ = reference_simplified_smo(K, targets, C, tol, max_passes,
+                                              derive_rng(0, "reference"))
+            ours, theirs = (smo_dual_objective(K, targets, a) for a in (alphas, ref))
+            assert ours <= theirs + 1e-9 * abs(theirs)
+
+    @pytest.mark.parametrize("C", [0.5, 1.0, 100.0])
+    def test_two_rows_are_solved_in_one_step(self, C):
+        # with k = K[0, 1], the dual optimum is a = min(C, 1 / (1 - k)) for
+        # both rows, and b = 0 by symmetry, free or at the bound
+        X = np.array([[0.0], [0.8]])
+        K = M._rbf_kernel(X, X, 1.0)
+        alphas, b, capped = M._fit_binary_smo(K, np.array([1.0, -1.0]), C, 1e-12, 1)
+        expected = min(C, 1.0 / (1.0 - K[0, 1]))
+        assert alphas == pytest.approx([expected, expected], rel=1e-12)
+        assert b == pytest.approx(0.0, abs=1e-12) and not capped
+
+    def test_stopping_at_the_step_cap_warns_and_ends(self):
+        X, y = blobs(n=40, seed=6)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            model = train_svm_rbf(X, y, make_spec("svm_rbf", seed=0, tol=0, max_passes=1))
+        capped = [w for w in caught if str(w.message) == M.SVM_RBF_CAPPED_WARNING]
+        assert len(capped) == 1 and capped[0].filename == __file__
+        # the machine for "a" stopped at its cap of 40 steps, short of a zero gap
+        K = M._rbf_kernel(X, X, model.state["gamma"])
+        targets = np.where(np.array(y) == "a", 1.0, -1.0)
+        alphas, _, stopped_at_cap = M._fit_binary_smo(K, targets, 1.0, 0.0, 1)
+        assert stopped_at_cap and smo_gap(K, targets, alphas, 1.0) > 0
+        assert alphas.tobytes() == model.state["machines"][0]["all_alphas"].tobytes()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            train_svm_rbf(X, y, make_spec("svm_rbf", seed=0))
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_kernel_is_bit_equal_to_the_one_expression(self, data):
+        rng = derive_rng(data.draw(st.integers(0, 2**16), label="seed"), "kernel")
+        n, m, d = (data.draw(st.integers(1, 12)) for _ in range(3))
+        scale = data.draw(st.sampled_from([1e-3, 1.0, 50.0]), label="scale")
+        A = rng.normal(size=(n, d)) * scale
+        # B repeats rows of A and its own rows, so distances of exactly 0 occur
+        B = np.vstack([A, rng.normal(size=(m, d)) * scale])[
+            rng.integers(0, n + m, size=m)]
+        B = np.vstack([B, B[:1]])
+        gamma = data.draw(st.sampled_from([1e-4, 0.3, 7.0]), label="gamma")
+        for left, right in ((A, B), (A, A), (B, B)):
+            assert M._rbf_kernel(left, right, gamma).tobytes() == \
+                oracle_rbf_kernel(left, right, gamma).tobytes()
 
 
 class TestTrees:
@@ -821,13 +914,26 @@ class TestInputContract:
     @pytest.mark.parametrize("family", ["svm_rbf", "dt", "rf"])
     def test_densify_budget_bounds_training_and_prediction(self, family):
         X, y = blobs(n=20, seed=30)
-        spec = make_spec(family, seed=0, densify_budget=39, **self.HYPER.get(family, {}))
+        # 22 columns, so that svm_rbf's 20x20 training kernel, which the
+        # budget also bounds, fits where the 20x22 matrix does not
+        X = np.hstack([X, derive_rng(30, "wide").normal(size=(20, 20))])
+        spec = make_spec(family, seed=0, densify_budget=X.size - 1,
+                         **self.HYPER.get(family, {}))
         with pytest.raises(DataError, match="densify_budget"):
             TRAINERS[family](sparse.csr_matrix(X), y, spec)
         model = TRAINERS[family](X, y, spec)  # dense input needs no densifying
         assert predict_proba(model, sparse.csr_matrix(X[:19])).shape == (19, 2)
         with pytest.raises(DataError, match="densify_budget"):
             predict_proba(model, sparse.csr_matrix(X))
+
+    def test_densify_budget_bounds_the_rbf_training_kernel(self, monkeypatch):
+        X, y = blobs(n=20, seed=30)
+        assert train_svm_rbf(X, y, make_spec("svm_rbf", densify_budget=400)).state
+        # an over-large kernel is refused before it is allocated
+        monkeypatch.setattr(M, "_rbf_kernel", lambda *args: pytest.fail("kernel built"))
+        with pytest.raises(DataError, match="20x20 training kernel exceeds the svm_rbf "
+                                            "densify_budget of 399 elements"):
+            train_svm_rbf(X, y, make_spec("svm_rbf", densify_budget=399))
 
     @pytest.mark.parametrize("family", ["lr", "svm_linear"])
     def test_linear_families_keep_the_input_form(self, family):
