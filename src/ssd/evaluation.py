@@ -18,6 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
+from . import models as M
 from .corpus import (
     SUBTASKS, Dataset, load_dataset, stage_view, stratified_kfold_labels,
 )
@@ -34,8 +35,8 @@ from .pipeline import (
     fit_features,
     fit_models,
     load_lexicons,
+    matrix_for_family,
     preprocess_config,
-    score,
     text_batch,
 )
 from .preprocess import PreprocessConfig, default_config, normalize
@@ -43,9 +44,8 @@ from .util import (
     canonical_json, fingerprint, format_markdown_table, format_table, open_output,
 )
 
-# unused here, but perfbench/spans.py wraps these names in this module
+# unused here, but perfbench/spans.py wraps this name in this module
 from .features import fit_tfidf  # noqa: F401
-from .pipeline import matrix_for_family  # noqa: F401
 
 CV_REPORT_FORMAT = "ssd-cv-report-v1"
 
@@ -277,10 +277,26 @@ def _evaluate_fold(
 
     timing: dict[str, float] = {}
     trained = fit_models(fm_tr, y_tr, cfg, classes, ("fold", fold_index), timing)
+    X_te = matrix_for_family(fm_te)
+    # each base model is scored once per fold, and a voter combines the
+    # scores of its members, which are those same base models
+    probas: dict[str, np.ndarray] = {}
+
+    def scored(model) -> np.ndarray:
+        family = model.spec.family
+        if family not in probas:
+            probas[family] = M.predict_proba(model, X_te)
+        return probas[family]
+
     fold_results: dict[str, FoldResult] = {}
     for name in cfg.models:
         t0 = time.perf_counter()
-        y_hat, _ = score(trained[name], fm_te)
+        model = trained[name]
+        if isinstance(model, M.VotingModel):
+            proba = M.vote_proba(model, [scored(member) for member in model.members])
+        else:
+            proba = scored(model)
+        y_hat = M.labels_from_proba(model, proba)
         cm = confusion_matrix(y_te, y_hat, classes)
         fold_results[name] = FoldResult(prf_scores(cm), cm)
         timing[f"score_{name}"] = time.perf_counter() - t0

@@ -19,13 +19,16 @@ of the input, not on its storage. lr, svm_linear and svm_rbf share one
 one-vs-rest loop; a decision tree is the one-tree, no-bootstrap case of
 the forest trainer.
 
-Trees search a node's splits with array code, a chunk of features at a
-time within a fixed element budget, and route rows to their leaves one
-tree level at a time. Both give, bit for bit, what a loop over every
-threshold and a loop over every row give (the tests keep those loops as
-oracles): the same trees, the same RNG draws, the same probabilities. A
-trainer whose fitted state is not finite raises `DataError` instead of
-returning a model that cannot be saved.
+A forest's trees grow together, each depth first on its own stack: a
+round takes the next node of every tree, draws each node's feature sample
+from its own tree's RNG, and searches all of them in one array pass, in
+chunks within a fixed element budget, scoring only the boundaries between
+distinct values. Scoring walks every tree at once, one level a step. Both
+give, bit for bit, what growing one tree after another with a loop over
+every threshold, and walking each tree row by row, give (the tests keep
+those as oracles): the same trees and node numbers, the same RNG draws,
+the same probabilities. A trainer whose fitted state is not finite raises
+`DataError` instead of returning a model that cannot be saved.
 """
 
 from __future__ import annotations
@@ -603,139 +606,223 @@ def _gini(counts: np.ndarray) -> np.ndarray:
     return 1.0 - np.matmul(p[..., None, :], p[..., None])[..., 0, 0]
 
 
-# elements of one (rows x features x classes) array in a node's split search;
-# wider nodes are searched a chunk of features at a time to stay within it
-_SPLIT_BUDGET = 1 << 18
+# elements of one (rows x features x classes) array in a round's split
+# search; a round's nodes are searched in chunks that stay within it, and a
+# node wider than it a chunk of features at a time
+_SPLIT_BUDGET = 1 << 14
 
 
-def _best_split(X, y_idx, rows, n_classes, max_features, rng):
-    """Lowest weighted-child-impurity split over (sampled) features, or
-    None when every sampled feature is constant on the node.
+class _Search:
+    """The best split found so far for each node of one round, under the
+    replacement rule of `_grow_forest`, with the left child's class counts."""
+
+    def __init__(self, n_nodes: int, n_classes: int):
+        self.bound = np.full(n_nodes, np.inf)
+        self.feature = np.full(n_nodes, -1, dtype=np.int64)
+        self.threshold = np.zeros(n_nodes)
+        self.left_counts = np.zeros((n_nodes, n_classes))
+
+
+def _search_chunk(X, y_idx, n_classes, pieces, rows, parent_counts, best: _Search):
+    """Score every split of the (node, features) pieces of one chunk and
+    update each node's best. A column holds one node's values of one
+    feature, padded to the chunk's widest node with +inf (X is finite), and
+    is sorted stably, so tied values keep the node's row order. Only the
+    boundaries between distinct values are scored."""
+    nodes = np.array([i for i, _ in pieces])
+    widths = np.array([len(f) for _, f in pieces])
+    col_piece = np.repeat(np.arange(len(pieces)), widths)
+    col_feature = np.concatenate([f for _, f in pieces])
+    sizes = np.array([len(rows[i]) for i in nodes])
+    n_col = sizes[col_piece]
+    length = int(sizes.max())
+    starts = np.concatenate(([0], np.cumsum(sizes)[:-1]))
+    node_rows = np.concatenate([rows[i] for i in nodes])
+    at = np.minimum(np.arange(length), n_col[:, None] - 1) + starts[col_piece][:, None]
+    at = node_rows[at]
+    values = X[at, col_feature[:, None]]
+    values[np.arange(length) >= n_col[:, None]] = np.inf
+    order = np.argsort(values, axis=1, kind="stable")
+    order += np.arange(0, values.size, length)[:, None]
+    values = values.ravel()[order]
+    labels = y_idx[at.ravel()[order]]
+    del at, order  # freed before the class counts, to keep the chunk's peak low
+    # split position s (rows left of it) lies between sorted rows s-1 and s
+    col, below = np.nonzero((values[:, 1:] != values[:, :-1])
+                            & (np.arange(1, length) < n_col[:, None]))
+    if not len(col):
+        return
+    left = np.stack([np.cumsum(labels == k, axis=1)[col, below]
+                     for k in range(n_classes)], axis=1).astype(float)
+    piece = col_piece[col]
+    n = sizes[piece]
+    right = parent_counts[nodes[piece]] - left
+    split_at = below + 1.0
+    weighted = (split_at * _gini(left) + (n - split_at) * _gini(right)) / n
+    # A piece's candidates are met in (feature, threshold) order, and one
+    # replaces the best so far only when it is lower by more than 1e-15. So
+    # the piece's first minimum m is chosen if m beats the best so far and
+    # every candidate before it lies more than 1e-15 above m; otherwise the
+    # rule is stepped along the piece's running minimum.
+    bounds = np.searchsorted(piece, np.arange(len(pieces) + 1))
+    found = np.flatnonzero(bounds[1:] > bounds[:-1])
+    first = bounds[found]
+    least = np.minimum.reduceat(weighted, first)
+    least_each = np.repeat(least, bounds[found + 1] - first)
+    argmin = np.flatnonzero(weighted == least_each)
+    argmin = argmin[np.searchsorted(argmin, first)]
+    near = np.flatnonzero(~(least_each < weighted - 1e-15))
+    near = near[np.searchsorted(near, first)]
+    before = best.bound[nodes[found]]
+    chosen = np.where(least < before - 1e-15, argmin, -1)
+    for j in np.flatnonzero((chosen >= 0) & (near != argmin)):
+        lo, hi = first[j], bounds[found[j] + 1]
+        falling = -np.minimum.accumulate(weighted[lo:hi])
+        step, bound = -1, before[j]
+        while True:
+            nxt = int(np.searchsorted(falling, -(bound - 1e-15), side="right"))
+            if nxt == hi - lo:
+                break
+            step, bound = nxt, weighted[lo + nxt]
+        chosen[j] = lo + step
+    keep = chosen >= 0
+    chosen, node = chosen[keep], nodes[found[keep]]
+    c, s = col[chosen], below[chosen]
+    low, high = values[c, s], values[c, s + 1]
+    # the midpoint of adjacent floats can round up to `high`, and
+    # `x <= high` would then send every row left
+    threshold = (low + high) / 2.0
+    best.bound[node] = weighted[chosen]
+    best.feature[node] = col_feature[c]
+    best.threshold[node] = np.where(threshold >= high, low, threshold)
+    best.left_counts[node] = left[chosen]
+
+
+def _search_round(X, y_idx, n_classes, rows, counts, features) -> _Search:
+    """The best split of each node of a round, node i having rows[i],
+    class counts counts[i] and the sorted features features[i]: the lowest
+    weighted child impurity, feature -1 where every feature is constant on
+    the node. Nodes are packed into chunks widest first; a node too wide for
+    one chunk is searched a chunk of features at a time, in feature order."""
+    best = _Search(len(rows), n_classes)
+    cap = max(1, _SPLIT_BUDGET // n_classes)  # rows x features a chunk
+    pieces: list[tuple[int, np.ndarray]] = []
+    length = columns = 0
+    for i in sorted(range(len(rows)), key=lambda i: -len(rows[i])):
+        feats, start = features[i], 0
+        while start < len(feats):
+            if not pieces:
+                length = len(rows[i])
+            room = cap // length - columns
+            if room <= 0 and pieces:
+                _search_chunk(X, y_idx, n_classes, pieces, rows, counts, best)
+                pieces, columns = [], 0
+                continue
+            take = feats[start:start + max(room, 1)]
+            pieces.append((i, take))
+            columns += len(take)
+            start += len(take)
+    if pieces:
+        _search_chunk(X, y_idx, n_classes, pieces, rows, counts, best)
+    return best
+
+
+def _feature_sample(rng, d: int, max_features: int | None) -> np.ndarray:
+    """A node's features, ascending: max_features of the d drawn without
+    replacement from its tree's RNG, or all d, which draws nothing."""
+    if max_features is None or max_features >= d:
+        return np.arange(d)
+    return np.sort(rng.choice(d, size=max_features, replace=False))
+
+
+def _grow_forest(X, y_idx, n_classes, samples, rngs, min_split, max_depth, max_features):
+    """Grow one tree per (sample, rng) pair, all at once.
+
+    Each tree grows depth first: it splits the top node of its own stack
+    and pushes the right child, then the left, so the left subtree is grown
+    (and numbered) first. A round takes the next node of every tree that
+    has one; each such node draws its sorted feature sample (`max_features`
+    of them, or all) from its tree's RNG, and one search scores them all.
+    A node becomes a leaf, and is never pushed, when it has fewer than
+    min_split rows, lies at max_depth or is pure; a searched node stays a
+    leaf when every sampled feature is constant on it.
 
     Candidates are met feature by feature (ascending), each feature's
     thresholds ascending, and one replaces the best so far only when its
     weighted impurity is lower by more than 1e-15: near-ties go to the
     lower feature index, then the lower threshold. A threshold is the
-    midpoint of two neighbouring distinct values.
-
-    A chunk of features is scored at once: a stable argsort per column,
-    cumulative class counts left and right of each split position, their
-    `_gini` (whose dot product must be `ddot`-exact, see there), and the
-    replacement rule stepped along the running minimum of the
-    impurities."""
+    midpoint of two neighbouring distinct values. Rows at or below it go
+    left, and each child takes its class counts from the split."""
     d = X.shape[1]
-    if max_features is not None and max_features < d:
-        feats = np.sort(rng.choice(d, size=max_features, replace=False))
-    else:
-        feats = np.arange(d)
-    n = len(rows)
-    onehot = np.eye(n_classes)[y_idx[rows]]
-    parent_counts = onehot.sum(axis=0)
-    split_at = np.arange(1.0, n)[:, None]  # rows left of each split position
-    # (weighted_impurity, feature, threshold); any finite impurity is lower
-    best = (np.inf, -1, 0.0)
-    step = max(1, _SPLIT_BUDGET // (n * n_classes))
-    for start in range(0, len(feats), step):
-        chunk = feats[start:start + step]
-        values = X[np.ix_(rows, chunk)]
-        order = np.argsort(values, axis=0, kind="stable")
-        values = np.take_along_axis(values, order, axis=0)
-        left = np.cumsum(onehot[order[:-1]], axis=0)
-        right = parent_counts - left
-        weighted = (split_at * _gini(left) + (n - split_at) * _gini(right)) / n
-        weighted[values[1:] == values[:-1]] = np.inf  # no threshold between ties
-        weighted = weighted.T.ravel()  # in the order the candidates are met
-        # no candidate met before the best so far is below its impurity, so
-        # the next replacement is where the running minimum first drops
-        # more than 1e-15 below it
-        falling = -np.minimum.accumulate(weighted)
-        at, bound = -1, best[0]
-        while True:
-            nxt = int(np.searchsorted(falling, -(bound - 1e-15), side="right"))
-            if nxt == len(weighted):
-                break
-            at, bound = nxt, weighted[nxt]
-        if at < 0:
+    feature = [[-1] for _ in samples]
+    threshold = [[0.0] for _ in samples]
+    left = [[-1] for _ in samples]
+    right = [[-1] for _ in samples]
+    proba = [[] for _ in samples]
+    stacks: list[list] = [[] for _ in samples]
+
+    def searched(counts, depth):
+        # the nodes to search: those with min_split rows, below max_depth
+        # and impure; the others are leaves
+        search = (counts.sum(axis=1) >= min_split) & (_gini(counts) != 0.0)
+        if max_depth is not None:
+            search &= depth < max_depth
+        return search
+
+    counts = np.array([np.bincount(y_idx[s], minlength=n_classes) for s in samples],
+                      dtype=float)
+    for t, (sample, c, search) in enumerate(zip(samples, counts, searched(counts, 0))):
+        proba[t].append(c / c.sum())
+        if search:
+            stacks[t].append((0, sample, 0, c))
+    while True:
+        popped = [(t, stacks[t].pop()) for t in range(len(samples)) if stacks[t]]
+        if not popped:
+            break
+        rows = [entry[1] for _, entry in popped]
+        counts = np.array([entry[3] for _, entry in popped])
+        feats = [_feature_sample(rngs[t], d, max_features) for t, _ in popped]
+        best = _search_round(X, y_idx, n_classes, rows, counts, feats)
+        split = np.flatnonzero(best.feature >= 0)
+        if not split.size:
             continue
-        f, below = divmod(at, n - 1)
-        low, high = values[below, f], values[below + 1, f]
-        threshold = (low + high) / 2.0
-        if threshold >= high:
-            # the midpoint of adjacent floats can round up to `high`,
-            # and `x <= high` would then send every row left
-            threshold = low
-        best = (bound, int(chunk[f]), float(threshold))
-    if best[1] < 0:
-        return None
-    return best[1], best[2]
-
-
-class _TreeBuilder:
-    def __init__(self, n_classes):
-        self.feature: list[int] = []
-        self.threshold: list[float] = []
-        self.left: list[int] = []
-        self.right: list[int] = []
-        self.proba: list[np.ndarray] = []
-        self.n_classes = n_classes
-
-    def add(self) -> int:
-        self.feature.append(-1)
-        self.threshold.append(0.0)
-        self.left.append(-1)
-        self.right.append(-1)
-        self.proba.append(np.zeros(self.n_classes))
-        return len(self.feature) - 1
-
-
-def _grow_tree(X, y_idx, n_classes, min_split, max_depth, max_features, rng):
-    tree = _TreeBuilder(n_classes)
-    root = tree.add()
-    stack = [(root, np.arange(len(y_idx)), 0)]
-    while stack:
-        node, rows, depth = stack.pop()
-        counts = np.bincount(y_idx[rows], minlength=n_classes).astype(float)
-        tree.proba[node] = counts / counts.sum()
-        if (
-            len(rows) < min_split
-            or (max_depth is not None and depth >= max_depth)
-            or _gini(counts) == 0.0
-        ):
-            continue
-        split = _best_split(X, y_idx, rows, n_classes, max_features, rng)
-        if split is None:
-            continue
-        f, thr = split
-        tree.feature[node] = f
-        tree.threshold[node] = thr
-        mask = X[rows, f] <= thr
-        left_id = tree.add()
-        right_id = tree.add()
-        tree.left[node] = left_id
-        tree.right[node] = right_id
-        # push right first so the left child is expanded (and numbered) next
-        stack.append((right_id, rows[~mask], depth + 1))
-        stack.append((left_id, rows[mask], depth + 1))
-    return {
-        "feature": np.array(tree.feature, dtype=np.int64),
-        "threshold": np.array(tree.threshold),
-        "left": np.array(tree.left, dtype=np.int64),
-        "right": np.array(tree.right, dtype=np.int64),
-        "proba": np.vstack(tree.proba),
-    }
-
-
-def _tree_proba(tree: dict, X: np.ndarray) -> np.ndarray:
-    # every row walks down one level per step until it stands on a leaf
-    feature, threshold = tree["feature"], tree["threshold"]
-    left, right = tree["left"], tree["right"]
-    node = np.zeros(X.shape[0], dtype=np.int64)
-    live = np.flatnonzero(feature[node] >= 0)
-    while live.size:
-        at = node[live]
-        node[live] = np.where(X[live, feature[at]] <= threshold[at], left[at], right[at])
-        live = live[feature[node[live]] >= 0]
-    return tree["proba"][node]
+        sizes = [len(rows[i]) for i in split]
+        at_or_below = X[np.concatenate([rows[i] for i in split]),
+                        np.repeat(best.feature[split], sizes)] \
+            <= np.repeat(best.threshold[split], sizes)
+        # each split's left and right child, side by side
+        children = np.empty((len(split), 2, n_classes))
+        children[:, 0] = best.left_counts[split]
+        children[:, 1] = counts[split] - children[:, 0]
+        depth = np.array([popped[i][1][2] + 1 for i in split])
+        search = searched(children.reshape(-1, n_classes), np.repeat(depth, 2)).reshape(-1, 2)
+        distribution = children / children.sum(axis=2, keepdims=True)
+        for j, goes_left in enumerate(np.split(at_or_below, np.cumsum(sizes)[:-1])):
+            t, (node, r, _, _) = popped[split[j]]
+            child = len(feature[t])
+            feature[t][node] = int(best.feature[split[j]])
+            threshold[t][node] = float(best.threshold[split[j]])
+            left[t][node], right[t][node] = child, child + 1
+            feature[t] += [-1, -1]
+            threshold[t] += [0.0, 0.0]
+            left[t] += [-1, -1]
+            right[t] += [-1, -1]
+            proba[t] += [distribution[j, 0], distribution[j, 1]]
+            # the left child goes on top, to be grown (and numbered) next
+            if search[j, 1]:
+                stacks[t].append((child + 1, r[~goes_left], depth[j], children[j, 1]))
+            if search[j, 0]:
+                stacks[t].append((child, r[goes_left], depth[j], children[j, 0]))
+    return [
+        {
+            "feature": np.array(feature[t], dtype=np.int64),
+            "threshold": np.array(threshold[t]),
+            "left": np.array(left[t], dtype=np.int64),
+            "right": np.array(right[t], dtype=np.int64),
+            "proba": np.vstack(proba[t]),
+        }
+        for t in range(len(samples))
+    ]
 
 
 def _resolve_max_features(value, d: int) -> int | None:
@@ -754,13 +841,10 @@ def _forest_state(X, y, classes, spec: ModelSpec, n_trees: int, bootstrap: bool,
     y_idx = np.array([index[v] for v in y])
     max_features = _resolve_max_features(spec.hyper("max_features"), X.shape[1])
     n = X.shape[0]
-    trees = []
-    for t in range(n_trees):
-        rng = derive_rng(spec.seed, "tree", t)
-        rows = rng.integers(0, n, size=n) if bootstrap else slice(None)
-        trees.append(_grow_tree(X[rows], y_idx[rows], len(classes), min_split, max_depth,
-                                max_features, rng))
-    return {"trees": trees}
+    rngs = [derive_rng(spec.seed, "tree", t) for t in range(n_trees)]
+    samples = [rng.integers(0, n, size=n) if bootstrap else np.arange(n) for rng in rngs]
+    return {"trees": _grow_forest(X, y_idx, len(classes), samples, rngs, min_split,
+                                  max_depth, max_features)}
 
 
 def _dt_state(X, y, classes, spec: ModelSpec) -> dict:
@@ -775,9 +859,24 @@ def _rf_state(X, y, classes, spec: ModelSpec) -> dict:
 
 
 def _forest_scores(state: dict, X: np.ndarray) -> np.ndarray:
-    """The mean of the trees' leaf distributions, summed in tree order."""
+    """The mean of the trees' leaf distributions, summed in tree order.
+    Every tree is walked at once: each (tree, row) pair steps down one level
+    per step until it stands on a leaf."""
     trees = state["trees"]
-    return sum(_tree_proba(tree, X) for tree in trees) / len(trees)
+    n = X.shape[0]
+    offsets = np.cumsum([0] + [len(tree["feature"]) for tree in trees[:-1]])
+    feature = np.concatenate([tree["feature"] for tree in trees])
+    threshold = np.concatenate([tree["threshold"] for tree in trees])
+    left = np.concatenate([tree["left"] + o for tree, o in zip(trees, offsets)])
+    right = np.concatenate([tree["right"] + o for tree, o in zip(trees, offsets)])
+    node = np.repeat(offsets, n)  # tree by tree, row by row
+    live = np.flatnonzero(feature[node] >= 0)
+    while live.size:
+        at = node[live]
+        node[live] = np.where(X[live % n, feature[at]] <= threshold[at], left[at], right[at])
+        live = live[feature[node[live]] >= 0]
+    leaves = np.concatenate([tree["proba"] for tree in trees])[node]
+    return sum(leaves.reshape(len(trees), n, -1)) / len(trees)
 
 
 # ---------------------------------------------------------------------------
@@ -893,16 +992,14 @@ def make_voting(kind: str, members: Sequence) -> VotingModel:
     return VotingModel(kind, tuple(members), classes, aligned_priors)
 
 
-def _aligned_proba(member, X, classes) -> np.ndarray:
-    proba = predict_proba(member, X)
-    if member.classes == classes:
-        return proba
-    cols = [member.classes.index(c) for c in classes]
-    return proba[:, cols]
-
-
-def _voting_proba(vm: VotingModel, X) -> np.ndarray:
-    stacked = [_aligned_proba(m, X, vm.classes) for m in vm.members]
+def vote_proba(vm: VotingModel, member_probas: Sequence[np.ndarray]) -> np.ndarray:
+    """A voter's probabilities from its members' `predict_proba` outputs,
+    in member order: their mean for a soft vote, the share of members whose
+    most probable class each class is for a hard one."""
+    stacked = [
+        proba if m.classes == vm.classes else proba[:, [m.classes.index(c) for c in vm.classes]]
+        for m, proba in zip(vm.members, member_probas)
+    ]
     if vm.kind == "soft":
         return np.mean(stacked, axis=0)
     # hard: vote shares
@@ -912,6 +1009,10 @@ def _voting_proba(vm: VotingModel, X) -> np.ndarray:
         winners = np.argmax(proba, axis=1)
         votes[np.arange(n), winners] += 1
     return votes / len(stacked)
+
+
+def _voting_proba(vm: VotingModel, X) -> np.ndarray:
+    return vote_proba(vm, [predict_proba(m, X) for m in vm.members])
 
 
 def soft_vote(models: Sequence, X) -> tuple[list[str], np.ndarray]:

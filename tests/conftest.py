@@ -353,3 +353,144 @@ def smo_gap(K, targets, alphas, C):
     up = np.where(targets > 0, alphas < C, alphas > 0)
     low = np.where(targets > 0, alphas > 0, alphas < C)
     return float(score[up].max() - score[low].min())
+
+
+# ---------------------------------------------------------------------------
+# tree oracles: one tree grown node by node, each split found by a loop over
+# every threshold, and each tree walked row by row
+
+
+def oracle_gini(counts):
+    total = counts.sum()
+    if total == 0:
+        return 0.0
+    p = counts / total
+    return 1.0 - float(p @ p)
+
+
+def oracle_best_split(X, y_idx, rows, n_classes, max_features, rng):
+    """The split search as one Python loop over every threshold of every
+    sampled feature."""
+    import numpy as np
+
+    d = X.shape[1]
+    if max_features is not None and max_features < d:
+        feats = np.sort(rng.choice(d, size=max_features, replace=False))
+    else:
+        feats = np.arange(d)
+    parent_counts = np.bincount(y_idx[rows], minlength=n_classes)
+    n = len(rows)
+    best = None
+    for f in feats:
+        values = X[rows, f]
+        order = np.argsort(values, kind="stable")
+        sorted_rows = rows[order]
+        sorted_values = values[order]
+        left_counts = np.zeros(n_classes)
+        right_counts = parent_counts.astype(float).copy()
+        for split_at in range(1, n):
+            cls = y_idx[sorted_rows[split_at - 1]]
+            left_counts[cls] += 1
+            right_counts[cls] -= 1
+            if sorted_values[split_at] == sorted_values[split_at - 1]:
+                continue
+            weighted = (
+                split_at * oracle_gini(left_counts)
+                + (n - split_at) * oracle_gini(right_counts)
+            ) / n
+            if best is None or weighted < best[0] - 1e-15:
+                low, high = sorted_values[split_at - 1], sorted_values[split_at]
+                threshold = (low + high) / 2.0
+                if threshold >= high:
+                    threshold = low
+                best = (weighted, int(f), float(threshold))
+    if best is None:
+        return None
+    return best[1], best[2]
+
+
+def oracle_grow_tree(X, y_idx, n_classes, min_split, max_depth, max_features, rng):
+    """One tree grown depth first, one node at a time: each node's class
+    counts from its rows, its split from `oracle_best_split`. The right
+    child is pushed first, so the left subtree is grown and numbered first."""
+    import numpy as np
+
+    feature, threshold, left, right, proba = [], [], [], [], []
+
+    def add():
+        feature.append(-1)
+        threshold.append(0.0)
+        left.append(-1)
+        right.append(-1)
+        proba.append(None)
+        return len(feature) - 1
+
+    stack = [(add(), np.arange(len(y_idx)), 0)]
+    while stack:
+        node, rows, depth = stack.pop()
+        counts = np.bincount(y_idx[rows], minlength=n_classes).astype(float)
+        proba[node] = counts / counts.sum()
+        if (len(rows) < min_split or (max_depth is not None and depth >= max_depth)
+                or oracle_gini(counts) == 0.0):
+            continue
+        split = oracle_best_split(X, y_idx, rows, n_classes, max_features, rng)
+        if split is None:
+            continue
+        feature[node], threshold[node] = split
+        mask = X[rows, split[0]] <= split[1]
+        left[node], right[node] = add(), add()
+        stack.append((right[node], rows[~mask], depth + 1))
+        stack.append((left[node], rows[mask], depth + 1))
+    return {
+        "feature": np.array(feature, dtype=np.int64),
+        "threshold": np.array(threshold),
+        "left": np.array(left, dtype=np.int64),
+        "right": np.array(right, dtype=np.int64),
+        "proba": np.vstack(proba),
+    }
+
+
+def oracle_forest_state(X, y, classes, spec, n_trees, bootstrap, min_split, max_depth,
+                        rngs=None):
+    """A forest grown one tree after another: tree t by `oracle_grow_tree`
+    on its own RNG stream ("tree", t), from a bootstrap sample of the rows
+    or from every row. Each tree's RNG is appended to `rngs` when given."""
+    import numpy as np
+
+    from ssd.models import _resolve_max_features
+
+    index = {c: i for i, c in enumerate(classes)}
+    y_idx = np.array([index[v] for v in y])
+    max_features = _resolve_max_features(spec.hyper("max_features"), X.shape[1])
+    n = X.shape[0]
+    trees = []
+    for t in range(n_trees):
+        rng = derive_rng(spec.seed, "tree", t)
+        rows = rng.integers(0, n, size=n) if bootstrap else slice(None)
+        trees.append(oracle_grow_tree(X[rows], y_idx[rows], len(classes), min_split,
+                                      max_depth, max_features, rng))
+        if rngs is not None:
+            rngs.append(rng)
+    return {"trees": trees}
+
+
+def oracle_tree_proba(tree, X):
+    """The tree walk as one Python loop over rows."""
+    import numpy as np
+
+    out = np.empty((X.shape[0], tree["proba"].shape[1]))
+    for i, row in enumerate(X):
+        node = 0
+        while tree["feature"][node] >= 0:
+            if row[tree["feature"][node]] <= tree["threshold"][node]:
+                node = tree["left"][node]
+            else:
+                node = tree["right"][node]
+        out[i] = tree["proba"][node]
+    return out
+
+
+def oracle_forest_proba(state, X):
+    """The mean of the trees' leaf distributions, summed tree after tree."""
+    trees = state["trees"]
+    return sum(oracle_tree_proba(tree, X) for tree in trees) / len(trees)

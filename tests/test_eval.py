@@ -396,6 +396,28 @@ class TestOneFitPath:
             assert got == fold0, name
 
 
+    def test_fold_scores_each_base_model_once(self, monkeypatch):
+        """Per fold, each base model is scored by one `predict_proba` call,
+        whether it is listed, a voter's member or both; the voters combine
+        those scores and are never scored themselves."""
+        import ssd.models as M
+
+        cfg = config_from_dict({
+            "dataset": "d.csv", "subtask": 1, "features": ["tfidf"],
+            "models": ["soft_vote", "lr", "hard_vote"],
+            "ensemble_members": ["lr", "dt", "rf"],
+            "folds": 3, "seed": 2, "tfidf": {"min_df": 1},
+            "hyperparameters": {"rf": {"n_trees": 3}},
+        })
+        calls = []
+        original = M.predict_proba
+        monkeypatch.setattr(M, "predict_proba",
+                            lambda m, X: calls.append(m) or original(m, X))
+        cross_validate(cfg, make_support_corpus(60, seed=12))
+        assert all(isinstance(m, M.TrainedModel) for m in calls)
+        assert sorted(m.spec.family for m in calls) == sorted(["lr", "dt", "rf"] * 3)
+
+
 class TestArtifacts:
     def test_written_files_and_rerun_identity(self, cv_setup, tmp_path):
         report = cv_setup["report"]

@@ -2,6 +2,7 @@
 probability calibration shape, voting, and serialization."""
 
 import json
+import re
 import warnings
 
 import numpy as np
@@ -32,6 +33,10 @@ from ssd.models import (
 from ssd.util import canonical_json, derive_rng
 
 from conftest import (
+    oracle_best_split,
+    oracle_forest_proba,
+    oracle_forest_state,
+    oracle_gini,
     oracle_rbf_kernel,
     reference_simplified_smo,
     smo_dual_objective,
@@ -359,68 +364,8 @@ class TestTrees:
 
 
 # ---------------------------------------------------------------------------
-# the array split search and tree walk agree with the loops they replaced
-
-
-def _oracle_gini(counts):
-    total = counts.sum()
-    if total == 0:
-        return 0.0
-    p = counts / total
-    return 1.0 - float(p @ p)
-
-
-def _oracle_best_split(X, y_idx, rows, n_classes, max_features, rng):
-    """The split search as one Python loop over every threshold of every
-    sampled feature."""
-    d = X.shape[1]
-    if max_features is not None and max_features < d:
-        feats = np.sort(rng.choice(d, size=max_features, replace=False))
-    else:
-        feats = np.arange(d)
-    parent_counts = np.bincount(y_idx[rows], minlength=n_classes)
-    n = len(rows)
-    best = None
-    for f in feats:
-        values = X[rows, f]
-        order = np.argsort(values, kind="stable")
-        sorted_rows = rows[order]
-        sorted_values = values[order]
-        left_counts = np.zeros(n_classes)
-        right_counts = parent_counts.astype(float).copy()
-        for split_at in range(1, n):
-            cls = y_idx[sorted_rows[split_at - 1]]
-            left_counts[cls] += 1
-            right_counts[cls] -= 1
-            if sorted_values[split_at] == sorted_values[split_at - 1]:
-                continue
-            weighted = (
-                split_at * _oracle_gini(left_counts)
-                + (n - split_at) * _oracle_gini(right_counts)
-            ) / n
-            if best is None or weighted < best[0] - 1e-15:
-                low, high = sorted_values[split_at - 1], sorted_values[split_at]
-                threshold = (low + high) / 2.0
-                if threshold >= high:
-                    threshold = low
-                best = (weighted, int(f), float(threshold))
-    if best is None:
-        return None
-    return best[1], best[2]
-
-
-def _oracle_tree_proba(tree, X):
-    """The tree walk as one Python loop over rows."""
-    out = np.empty((X.shape[0], tree["proba"].shape[1]))
-    for i, row in enumerate(X):
-        node = 0
-        while tree["feature"][node] >= 0:
-            if row[tree["feature"][node]] <= tree["threshold"][node]:
-                node = tree["left"][node]
-            else:
-                node = tree["right"][node]
-        out[i] = tree["proba"][node]
-    return out
+# the forest grower and walk agree with the per-tree grower, the threshold
+# loop and the row loop they replaced (tests/conftest.py keeps all three)
 
 
 NODE_KINDS = ("continuous", "discrete", "mostly_zero", "adjacent")
@@ -444,6 +389,24 @@ def node_matrix(kind, n, d, seed):
     return X
 
 
+def _counts(y_idx, rows, n_classes):
+    return np.array([np.bincount(y_idx[r], minlength=n_classes) for r in rows], dtype=float)
+
+
+def _split_bits(split):
+    """A split as (feature, threshold.hex()), so that -0.0 and 0.0 differ."""
+    return None if split is None else (int(split[0]), float(split[1]).hex())
+
+
+def _searched(best, i):
+    return None if best.feature[i] < 0 else (best.feature[i], best.threshold[i])
+
+
+def _forest_model(state, classes, spec, d):
+    return M.TrainedModel(spec, tuple(classes), np.full(len(classes), 1 / len(classes)),
+                          d, state)
+
+
 class TestSplitSearchOracle:
     @pytest.mark.parametrize("n_classes", [2, 3, 4, 5])
     def test_gini_is_the_loop_dot_product_bit_for_bit(self, n_classes):
@@ -452,7 +415,7 @@ class TestSplitSearchOracle:
         rng = np.random.default_rng(n_classes)
         counts = rng.integers(0, 300, size=(20_000, n_classes)).astype(float)
         counts[:, 0] += 1
-        expected = np.array([_oracle_gini(row) for row in counts])
+        expected = np.array([oracle_gini(row) for row in counts])
         assert M._gini(counts).tobytes() == expected.tobytes()
         stacked = counts.reshape(100, 200, n_classes)  # as the split search has them
         assert M._gini(stacked).tobytes() == expected.tobytes()
@@ -460,28 +423,37 @@ class TestSplitSearchOracle:
     @settings(max_examples=200, deadline=None)
     @given(data=st.data())
     def test_same_split_and_rng_state_as_the_loop(self, data):
+        # one round: up to four nodes of different sizes, rows in any order
         kind = data.draw(st.sampled_from(NODE_KINDS), label="kind")
         n_rows = data.draw(st.integers(1, 60), label="rows")
         d = data.draw(st.integers(1, 12), label="features")
         n_classes = data.draw(st.integers(2, 4), label="classes")
+        n_nodes = data.draw(st.integers(1, 4), label="nodes")
         seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
         X = node_matrix(kind, n_rows + 5, d, seed)
         rng = np.random.default_rng(seed)
         y_idx = rng.integers(0, n_classes, size=n_rows + 5)
-        rows = rng.permutation(n_rows + 5)[:n_rows]
+        sizes = [n_rows] + [int(rng.integers(1, n_rows + 1)) for _ in range(n_nodes - 1)]
+        rows = [rng.permutation(n_rows + 5)[:size] for size in sizes]
         max_features = data.draw(st.sampled_from(
             [None, int(np.ceil(np.sqrt(d))), int(rng.integers(1, d + 1))]),
             label="max_features")
-        # a budget of a few features forces several chunks per node
+        # a budget of a few features forces several chunks per node, and
+        # fits several smaller nodes in one chunk
         budget = data.draw(st.sampled_from(
             [M._SPLIT_BUDGET, n_rows * n_classes * int(rng.integers(1, 4))]),
             label="budget")
-        ours, theirs = derive_rng(seed, "split"), derive_rng(seed, "split")
+        ours = [derive_rng(seed, "split", i) for i in range(n_nodes)]
+        theirs = [derive_rng(seed, "split", i) for i in range(n_nodes)]
+        features = [M._feature_sample(r, d, max_features) for r in ours]
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(M, "_SPLIT_BUDGET", budget)
-            got = M._best_split(X, y_idx, rows, n_classes, max_features, ours)
-        assert got == _oracle_best_split(X, y_idx, rows, n_classes, max_features, theirs)
-        assert ours.bit_generator.state == theirs.bit_generator.state
+            best = M._search_round(X, y_idx, n_classes, rows, _counts(y_idx, rows, n_classes),
+                                   features)
+        for i in range(n_nodes):
+            want = oracle_best_split(X, y_idx, rows[i], n_classes, max_features, theirs[i])
+            assert _split_bits(_searched(best, i)) == _split_bits(want)
+            assert ours[i].bit_generator.state == theirs[i].bit_generator.state
 
     def test_best_split_in_an_earlier_chunk_survives_later_ties(self, monkeypatch):
         rng = np.random.default_rng(7)
@@ -491,16 +463,128 @@ class TestSplitSearchOracle:
         # separates them just as well and must not replace it
         X[:, 1] = np.where(y_idx == 0, -1.0, 1.0) + rng.normal(0, 0.1, 40)
         X[:, 7] = X[:, 1] * 3.0
-        rows = np.arange(40)
+        rows = [np.arange(40)]
         monkeypatch.setattr(M, "_SPLIT_BUDGET", 40 * 2 * 2)  # two features a chunk
-        got = M._best_split(X, y_idx, rows, 2, None, None)
-        assert got == _oracle_best_split(X, y_idx, rows, 2, None, None)
+        got = _searched(M._search_round(X, y_idx, 2, rows, _counts(y_idx, rows, 2),
+                                        [np.arange(9)]), 0)
+        assert got == oracle_best_split(X, y_idx, rows[0], 2, None, None)
         assert got[0] == 1
+
+    @pytest.mark.parametrize("features_a_chunk", [1, 2, None])
+    def test_near_tie_does_not_replace_the_earlier_split(self, monkeypatch, features_a_chunk):
+        # found by a search over node_matrix draws: the first candidate met
+        # (feature 0) scores 0.6000000000000001, and four later ones, on
+        # features 1 to 3, score within 1e-15 of it, one of them
+        # 0.5999999999999999; none is lower by more than 1e-15, so feature
+        # 0 stays, where a plain argmin would take feature 2. One or two
+        # features a chunk carry the best across chunks; all four in one
+        # chunk step the rule inside it.
+        X = node_matrix("discrete", 20, 4, 2601)
+        y_idx = np.random.default_rng(2601).integers(0, 3, size=20)
+        rows = [np.arange(20)]
+        if features_a_chunk is not None:
+            monkeypatch.setattr(M, "_SPLIT_BUDGET", 20 * 3 * features_a_chunk)
+        got = _searched(M._search_round(X, y_idx, 3, rows, _counts(y_idx, rows, 3),
+                                        [np.arange(4)]), 0)
+        assert _split_bits(got) == _split_bits(oracle_best_split(X, y_idx, rows[0], 3, None, None))
+        assert _split_bits(got) == (0, (2.5).hex())
 
     def test_constant_node_has_no_split(self):
         X = np.ones((5, 3))
-        rows = np.arange(5)
-        assert M._best_split(X, np.array([0, 1, 0, 1, 0]), rows, 2, None, None) is None
+        rows = [np.arange(5), np.arange(3)]
+        y_idx = np.array([0, 1, 0, 1, 0])
+        best = M._search_round(X, y_idx, 2, rows, _counts(y_idx, rows, 2),
+                               [np.arange(3), np.arange(3)])
+        assert best.feature.tolist() == [-1, -1]
+        # an impure node whose rows all agree stays a leaf once searched
+        X = np.array([[1.0], [1.0], [2.0]])
+        y = ["a", "b", "a"]
+        spec = make_spec("dt", seed=0)
+        model = train_dt(X, y, spec)
+        tree = model.state["trees"][0]
+        assert tree["feature"].tolist() == [0, -1, -1]
+        assert tree["proba"][1].tolist() == [0.5, 0.5]
+        assert model_to_envelope(model)["state"] == model_to_envelope(_forest_model(
+            oracle_forest_state(X, y, ("a", "b"), spec, 1, False, 2, None),
+            ("a", "b"), spec, 1))["state"]
+
+    def test_one_row_child_takes_its_counts_from_the_split(self):
+        # the only split leaves one row on the right; the left child is
+        # impure but constant, so both children are leaves
+        X = np.array([[0.0], [0.0], [0.0], [5.0]])
+        y = ["a", "a", "b", "b"]
+        spec = make_spec("dt", seed=0)
+        model = train_dt(X, y, spec)
+        tree = model.state["trees"][0]
+        assert tree["feature"].tolist() == [0, -1, -1]
+        assert tree["threshold"][0] == 2.5
+        assert tree["proba"].tolist() == [[0.5, 0.5], [2 / 3, 1 / 3], [0.0, 1.0]]
+        oracle = oracle_forest_state(X, y, ("a", "b"), spec, 1, False, 2, None)
+        assert model_to_envelope(model)["state"] == model_to_envelope(
+            _forest_model(oracle, ("a", "b"), spec, 1))["state"]
+
+    def test_signed_zeros_tie_and_round_to_the_lower_value(self):
+        # -0.0 and 0.0 tie, so no threshold lies between them; the first
+        # split met, between -5e-324 and the zeros, has a midpoint that
+        # rounds to -0.0, which is not below `high`, so the threshold is
+        # -5e-324 itself, and the zeros of either sign go right
+        tiny = -5e-324
+        X = np.array([[tiny], [-0.0], [0.0], [-0.0], [0.0], [1.0]])
+        y = ["a", "b", "b", "b", "b", "a"]
+        spec = make_spec("dt", seed=0)
+        model = train_dt(X, y, spec)
+        tree = model.state["trees"][0]
+        assert tree["threshold"][0].hex() == tiny.hex()
+        oracle = oracle_forest_state(X, y, ("a", "b"), spec, 1, False, 2, None)
+        assert model_to_envelope(model)["state"] == model_to_envelope(
+            _forest_model(oracle, ("a", "b"), spec, 1))["state"]
+        unseen = np.array([[-0.0], [0.0], [tiny], [-1e-300], [0.5]])
+        for Z in (X, unseen):
+            assert predict_proba(model, Z).tobytes() == oracle_forest_proba(oracle, Z).tobytes()
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_forest_matches_the_per_tree_grower(self, data):
+        kind = data.draw(st.sampled_from(NODE_KINDS), label="kind")
+        n = data.draw(st.integers(2, 40), label="rows")
+        d = data.draw(st.integers(1, 6), label="features")
+        n_classes = data.draw(st.integers(2, 4), label="classes")
+        seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+        n_trees = data.draw(st.integers(1, 6), label="n_trees")
+        bootstrap = data.draw(st.booleans(), label="bootstrap")
+        max_features = data.draw(st.sampled_from([None, "sqrt", 1, 2, 5]), label="max_features")
+        max_depth = data.draw(st.sampled_from([None, 1, 2, 4]), label="max_depth")
+        min_split = data.draw(st.integers(2, 6), label="min_samples_split")
+        # a root wider than one chunk spans several, and one chunk holds
+        # several of the smaller nodes below
+        budget = data.draw(st.sampled_from(
+            [n * n_classes * k for k in (1, 2, 3)] + [M._SPLIT_BUDGET]), label="budget")
+        X = node_matrix(kind, 2 * n, d, seed)
+        fit, unseen = X[:n], X[n:]
+        classes = tuple("abcd"[:n_classes])
+        y = list(classes[:2]) + [classes[i % n_classes]
+                                 for i in np.random.default_rng(seed).integers(0, 4, n - 2)]
+        spec = make_spec("rf", seed=seed % 1000, max_features=max_features)
+        ours_rngs, their_rngs = [], []
+
+        def recorded(*key):
+            ours_rngs.append(derive_rng(*key))
+            return ours_rngs[-1]
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(M, "_SPLIT_BUDGET", budget)
+            mp.setattr(M, "derive_rng", recorded)
+            ours = M._forest_state(fit, y, classes, spec, n_trees, bootstrap, min_split,
+                                   max_depth)
+        theirs = oracle_forest_state(fit, y, classes, spec, n_trees, bootstrap, min_split,
+                                     max_depth, rngs=their_rngs)
+        model = _forest_model(ours, classes, spec, d)
+        assert canonical_json(model_to_envelope(model)) == canonical_json(
+            model_to_envelope(_forest_model(theirs, classes, spec, d)))
+        assert [r.bit_generator.state for r in ours_rngs] == \
+            [r.bit_generator.state for r in their_rngs]
+        for Z in (fit, unseen):
+            assert predict_proba(model, Z).tobytes() == oracle_forest_proba(theirs, Z).tobytes()
 
     TREE_SPECS = (
         ("dt", {}),
@@ -525,14 +609,13 @@ class TestSplitSearchOracle:
             spec = make_spec(family, seed=seed % 1000, **hyper)
             model = TRAINERS[family](fit, y, spec)
             with pytest.MonkeyPatch.context() as mp:
-                mp.setattr(M, "_best_split", _oracle_best_split)
-                mp.setattr(M, "_tree_proba", _oracle_tree_proba)
+                mp.setattr(M, "_forest_state", oracle_forest_state)
                 oracle = TRAINERS[family](fit, y, spec)
-                oracle_proba = [predict_proba(oracle, Z) for Z in (fit, unseen)]
             assert canonical_json(model_to_envelope(model)) == \
                 canonical_json(model_to_envelope(oracle)), (family, hyper)
-            for Z, expected in zip((fit, unseen), oracle_proba):
-                assert predict_proba(model, Z).tobytes() == expected.tobytes()
+            for Z in (fit, unseen):
+                assert predict_proba(model, Z).tobytes() == \
+                    oracle_forest_proba(oracle.state, Z).tobytes()
 
 
 class TestProbabilities:
@@ -921,7 +1004,13 @@ class TestInputContract:
                          **self.HYPER.get(family, {}))
         with pytest.raises(DataError, match="densify_budget"):
             TRAINERS[family](sparse.csr_matrix(X), y, spec)
-        model = TRAINERS[family](X, y, spec)  # dense input needs no densifying
+        # dense input needs no densifying
+        if family == "svm_rbf":
+            # two SMO passes on these random columns end at the step cap
+            with pytest.warns(UserWarning, match=re.escape(M.SVM_RBF_CAPPED_WARNING)):
+                model = TRAINERS[family](X, y, spec)
+        else:
+            model = TRAINERS[family](X, y, spec)
         assert predict_proba(model, sparse.csr_matrix(X[:19])).shape == (19, 2)
         with pytest.raises(DataError, match="densify_budget"):
             predict_proba(model, sparse.csr_matrix(X))
