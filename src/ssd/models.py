@@ -1,12 +1,14 @@
 """From-scratch classifiers behind one train/predict/probability contract.
 
-Five families: one-vs-rest logistic regression (truncated Newton-CG on
-Hessian-vector products, with an Armijo line search on the exact objective,
-so the recorded loss trace never increases), one-vs-rest linear SVM
-(Pegasos subgradient schedule), one-vs-rest RBF kernel SVM (sequential
-minimal optimization with LIBSVM's second-order working-set selection, on
-a kept dual gradient, drawing no random numbers), a CART decision tree, and
-a bagged random forest. Soft and hard voting combine trained models.
+Five families: one-vs-rest logistic regression and one-vs-rest linear SVM
+(the squared hinge, LIBLINEAR's L2-loss SVM), both fitted by one truncated
+Newton-CG solver on Hessian-vector products with an Armijo line search on
+the exact objective, so the recorded loss trace never increases (a family
+gives only its objective, gradient and Hessian product); one-vs-rest RBF
+kernel SVM (sequential minimal optimization with LIBSVM's second-order
+working-set selection, on a kept dual gradient, drawing no random
+numbers); a CART decision tree; and a bagged random forest. Soft and hard
+voting combine trained models.
 
 Each family is one row of `FAMILIES`: its hyperparameters (defaults and
 admitted values), its fit, its scorer and its input form. This module
@@ -214,21 +216,19 @@ def _finite(value) -> bool:
     return True
 
 
-def _one_vs_rest(y, classes, spec: ModelSpec, negative: float, fit_binary):
-    """One binary machine per class: `fit_binary(targets, rng)` gets
-    targets 1 for the class and `negative` for the rest, and the class's
-    own RNG stream (family, class). A class absent from y gets None.
-    Returns the machines and the present-class mask."""
+def _one_vs_rest(y, classes, negative: float, fit_binary):
+    """One binary machine per class: `fit_binary(targets)` gets targets 1
+    for the class and `negative` for the rest. A class absent from y gets
+    None. Returns the machines and the present-class mask."""
     present = np.array([c in y for c in classes], dtype=bool)
     machines = []
     for cls, here in zip(classes, present):
         targets = np.array([1.0 if v == cls else negative for v in y])
-        rng = derive_rng(spec.seed, spec.family, cls)
-        machines.append(fit_binary(targets, rng) if here else None)
+        machines.append(fit_binary(targets) if here else None)
     return machines, present
 
 
-def _linear_state(machines, present, n_features: int, traces_key: str) -> dict:
+def _linear_state(machines, present, n_features: int) -> dict:
     """Stack (w, b, trace) machines into one weight matrix; an absent
     class keeps zero weights and an empty trace."""
     W = np.zeros((len(machines), n_features))
@@ -237,7 +237,7 @@ def _linear_state(machines, present, n_features: int, traces_key: str) -> dict:
         if machine is not None:
             W[k], b[k] = machine[0], machine[1]
     traces = [machine[2] if machine is not None else [] for machine in machines]
-    return {"W": W, "b": b, "present": present, traces_key: traces}
+    return {"W": W, "b": b, "present": present, "loss_traces": traces}
 
 
 def _margin_proba(margins: np.ndarray, present: np.ndarray) -> np.ndarray:
@@ -255,19 +255,12 @@ def _margin_proba(margins: np.ndarray, present: np.ndarray) -> np.ndarray:
     return scores / totals
 
 
+def _linear_scores(state: dict, X) -> np.ndarray:
+    return _margin_proba(np.asarray(X @ state["W"].T) + state["b"], state["present"])
+
+
 # ---------------------------------------------------------------------------
-# logistic regression
-
-
-def lr_objective_grad(w: np.ndarray, b: float, X, targets: np.ndarray, C: float):
-    """Mean cross-entropy plus ||w||^2 / (2 C n); returns (J, dJ/dw, dJ/db)."""
-    n = len(targets)
-    z = X @ w + b
-    loss = float(np.mean(np.logaddexp(0.0, z) - targets * z)) + float(w @ w) / (2 * C * n)
-    p = expit(z)
-    grad_w = X.T @ (p - targets) / n + w / (C * n)
-    grad_b = float(np.mean(p - targets))
-    return loss, np.asarray(grad_w).ravel(), grad_b
+# the linear families' Newton-CG solver
 
 
 # CG products per Newton step, at most; the forcing tolerance usually stops
@@ -276,15 +269,9 @@ _CG_MAX_ITER = 200
 # the Armijo line search accepts a step that achieves this share of the
 # decrease its slope predicts
 _ARMIJO = 1e-4
-
-
-def _lr_hessian_product(X, D, C: float, v: np.ndarray) -> np.ndarray:
-    """H v for `lr_objective_grad`'s objective over (w, b), where D = p (1 - p)
-    at the current point and the bias is the last, unregularized coordinate.
-    X.T is a transposed view: sparse input gets no transposed copy."""
-    n = X.shape[0]
-    u = D * (X @ v[:-1] + v[-1])
-    return np.append(X.T @ u / n + v[:-1] / (C * n), u.sum() / n)
+# a fit stops once a step improves the loss by less than this: lr's default
+# tol, and svm_linear's fixed one
+_NEWTON_TOL = 1e-6
 
 
 def _newton_direction(hess_product, g: np.ndarray) -> np.ndarray:
@@ -315,40 +302,96 @@ def _newton_direction(hess_product, g: np.ndarray) -> np.ndarray:
     return s if s.any() else -g
 
 
-def _fit_binary_lr(X, targets, C, max_iter, tol):
-    """Truncated Newton-CG (Lin, Weng & Keerthi, JMLR 2008) on
-    `lr_objective_grad`'s objective, from w = 0, b = 0. Each step solves the
-    Newton system by CG on Hessian-vector products, then backtracks from
-    the full step until the exact objective meets the Armijo condition, so
-    the trace of accepted losses never increases. Stops when a step
-    improves the loss by less than tol, after max_iter steps, at a zero
-    gradient (a minimum), or when no step decreases the loss."""
-    theta = np.zeros(X.shape[1] + 1)
-    loss, gw, gb = lr_objective_grad(theta[:-1], 0.0, X, targets, C)
-    g = np.append(gw, gb)
+def _newton_fit(objective, hessian, n_params: int, max_iter: int, tol: float, family: str):
+    """Truncated Newton-CG (Lin, Weng & Keerthi, JMLR 2008) over theta =
+    (w, b), from theta = 0. `objective(theta)` gives the loss and its
+    gradient; `hessian(theta)` the product v -> H v there. Each step solves
+    the Newton system by CG, then backtracks from the full step until the
+    exact objective meets the Armijo condition (a trial whose loss
+    overflowed is backtracked over), so the trace of accepted losses never
+    increases. Stops when a step improves the loss by less than tol, after
+    max_iter steps, at a zero gradient (a minimum), or when no step
+    decreases the loss. A direction that is not finite, which overflowed
+    arithmetic gives, is a `DataError`. Returns (w, b, trace)."""
+    theta = np.zeros(n_params)
+    loss, g = objective(theta)
     trace = [loss]
     for _ in range(max_iter):
         if not g.any():
             break
-        p = expit(X @ theta[:-1] + theta[-1])
-        D = p * (1.0 - p)
-        s = _newton_direction(lambda v: _lr_hessian_product(X, D, C, v), g)
+        s = _newton_direction(hessian(theta), g)
+        if not np.isfinite(s).all():
+            raise DataError(f"{family} {_OVERFLOWED}")
         slope = float(g @ s)
         step = 1.0
         while True:
             trial = theta + step * s
-            loss2, gw2, gb2 = lr_objective_grad(trial[:-1], trial[-1], X, targets, C)
-            if loss2 <= loss + _ARMIJO * step * slope:
+            trial_loss, trial_g = objective(trial)
+            if trial_loss <= loss + _ARMIJO * step * slope:
                 break
             step *= 0.5
             if step < 1e-12:
                 return theta[:-1], float(theta[-1]), trace
-        improvement = loss - loss2
-        theta, loss, g = trial, loss2, np.append(gw2, gb2)
+        improvement = loss - trial_loss
+        theta, loss, g = trial, trial_loss, trial_g
         trace.append(loss)
         if improvement < tol:
             break
     return theta[:-1], float(theta[-1]), trace
+
+
+def _newton_state(X, y, classes, spec: ModelSpec, negative: float, problem, tol: float,
+                  capped_warning: str) -> dict:
+    """One Newton-CG machine per class on `problem(X, targets)`, which
+    gives the family's (objective, hessian); warns once if any machine
+    stopped at max_iter."""
+    max_iter = spec.hyper("max_iter")
+    machines, present = _one_vs_rest(y, classes, negative, lambda targets: _newton_fit(
+        *problem(X, targets), X.shape[1] + 1, max_iter, tol, spec.family))
+    # a trace holds the starting loss plus one loss per iteration
+    if any(m is not None and len(m[2]) - 1 >= max_iter for m in machines):
+        # _newton_state < _<family>_state < _train < train_<family> < its caller
+        warnings.warn(capped_warning, stacklevel=5)
+    return _linear_state(machines, present, X.shape[1])
+
+
+# ---------------------------------------------------------------------------
+# logistic regression
+
+
+def lr_objective_grad(w: np.ndarray, b: float, X, targets: np.ndarray, C: float):
+    """Mean cross-entropy plus ||w||^2 / (2 C n); returns (J, dJ/dw, dJ/db)."""
+    n = len(targets)
+    z = X @ w + b
+    loss = float(np.mean(np.logaddexp(0.0, z) - targets * z)) + float(w @ w) / (2 * C * n)
+    p = expit(z)
+    grad_w = X.T @ (p - targets) / n + w / (C * n)
+    grad_b = float(np.mean(p - targets))
+    return loss, np.asarray(grad_w).ravel(), grad_b
+
+
+def _lr_hessian_product(X, D, C: float, v: np.ndarray) -> np.ndarray:
+    """H v for `lr_objective_grad`'s objective over (w, b), where D = p (1 - p)
+    at the current point and the bias is the last, unregularized coordinate.
+    X.T is a transposed view: sparse input gets no transposed copy."""
+    n = X.shape[0]
+    u = D * (X @ v[:-1] + v[-1])
+    return np.append(X.T @ u / n + v[:-1] / (C * n), u.sum() / n)
+
+
+def _lr_problem(C: float, X, targets):
+    """`lr_objective_grad`'s objective with gradient over theta = (w, b),
+    and its Hessian product."""
+
+    def objective(theta):
+        loss, gw, gb = lr_objective_grad(theta[:-1], theta[-1], X, targets, C)
+        return loss, np.append(gw, gb)
+
+    def hessian(theta):
+        p = expit(X @ theta[:-1] + theta[-1])
+        return partial(_lr_hessian_product, X, p * (1.0 - p), C)
+
+    return objective, hessian
 
 
 LR_CAPPED_WARNING = (
@@ -358,82 +401,53 @@ LR_CAPPED_WARNING = (
 
 
 def _lr_state(X, y, classes, spec: ModelSpec) -> dict:
-    max_iter = spec.hyper("max_iter")
-    hyper = (spec.hyper("C"), max_iter, spec.hyper("tol"))
-    machines, present = _one_vs_rest(
-        y, classes, spec, 0.0, lambda targets, rng: _fit_binary_lr(X, targets, *hyper)
-    )
-    # a trace holds the starting loss plus one loss per iteration
-    if any(m is not None and len(m[2]) - 1 >= max_iter for m in machines):
-        # _lr_state < _train < train_lr < its caller
-        warnings.warn(LR_CAPPED_WARNING, stacklevel=4)
-    return _linear_state(machines, present, X.shape[1], "loss_traces")
-
-
-def _linear_scores(state: dict, X) -> np.ndarray:
-    return _margin_proba(np.asarray(X @ state["W"].T) + state["b"], state["present"])
+    return _newton_state(X, y, classes, spec, 0.0, partial(_lr_problem, spec.hyper("C")),
+                         spec.hyper("tol"), LR_CAPPED_WARNING)
 
 
 # ---------------------------------------------------------------------------
-# linear SVM (Pegasos)
+# linear SVM (the squared hinge, LIBLINEAR's L2-loss SVM)
 
 
-def svm_linear_objective(w: np.ndarray, b: float, X, targets: np.ndarray, lam: float):
-    margins = np.asarray(X @ w).ravel() + b
-    hinge = np.maximum(0.0, 1.0 - targets * margins)
-    return lam / 2 * float(w @ w) + float(hinge.mean())
+def _svm_linear_problem(lam: float, X, targets):
+    """The squared hinge lam/2 ||w||^2 + mean(max(0, 1 - t z)^2), z = X w + b,
+    for targets t of +-1, over theta = (w, b) with the bias unregularized:
+    its objective with gradient, and its generalized Hessian
+    lam I + (2/n) [X_A 1]' [X_A 1], where X_A holds the rows whose margin
+    t z is below 1 (Keerthi & DeCoste, JMLR 2005). X.T is made once per
+    machine and X_A once per Newton step, not once per product."""
+    n, Xt = X.shape[0], X.T
+
+    def objective(theta):
+        w = theta[:-1]
+        slack = np.maximum(0.0, 1.0 - targets * (X @ w + theta[-1]))
+        coef = (-2.0 / n) * targets * slack
+        return (lam / 2 * float(w @ w) + float(np.mean(slack * slack)),
+                np.append(Xt @ coef + lam * w, coef.sum()))
+
+    def hessian(theta):
+        XA = X[targets * (X @ theta[:-1] + theta[-1]) < 1.0]
+        XAt = XA.T
+
+        def product(v):
+            u = XA @ v[:-1] + v[-1]
+            return np.append(lam * v[:-1] + (2.0 / n) * (XAt @ u), (2.0 / n) * u.sum())
+
+        return product
+
+    return objective, hessian
 
 
-def _fit_binary_pegasos(X, targets, lam, epochs, rng):
-    """Pegasos on the bias-augmented problem (constant last column), so the
-    intercept shrinks with the rest of the weights instead of accumulating
-    the huge early 1/(lambda t) steps."""
-    n = X.shape[0]
-    is_sparse = sparse.issparse(X)
-    if is_sparse:
-        Xa = sparse.hstack([X, np.ones((n, 1))], format="csr")
-        indptr, indices, data = Xa.indptr, Xa.indices, Xa.data
-    else:
-        Xa = np.hstack([X, np.ones((n, 1))])
-    w = np.zeros(Xa.shape[1])
-    objective_trace = []
-    t = 0
-    avg_w = w
-    for _ in range(epochs):
-        order = rng.permutation(n)
-        # early epochs are dominated by the giant first steps, so the model
-        # keeps the average of the final epoch's iterates
-        epoch_w = np.zeros_like(w)
-        for i in order:
-            t += 1
-            eta = 1.0 / (lam * t)
-            if is_sparse:
-                cols = indices[indptr[i]:indptr[i + 1]]
-                vals = data[indptr[i]:indptr[i + 1]]
-                # summed left to right in stored order, as a CSR row product
-                # sums, without building a one-row matrix per step
-                margin = float(np.cumsum(vals * w[cols])[-1])
-            else:
-                cols, vals = slice(None), Xa[i]
-                margin = float(vals @ w)
-            w *= 1.0 - eta * lam
-            if targets[i] * margin < 1.0:
-                w[cols] += eta * targets[i] * vals
-            epoch_w += w
-        avg_w = epoch_w / n
-        objective_trace.append(
-            svm_linear_objective(avg_w[:-1], float(avg_w[-1]), X, targets, lam)
-        )
-    return avg_w[:-1], float(avg_w[-1]), objective_trace
+SVM_LINEAR_CAPPED_WARNING = (
+    "linear SVM stopped at max_iter before its loss improvement fell below "
+    f"{_NEWTON_TOL:g}; raise max_iter"
+)
 
 
 def _svm_linear_state(X, y, classes, spec: ModelSpec) -> dict:
-    lam, epochs = spec.hyper("lam"), spec.hyper("epochs")
-    machines, present = _one_vs_rest(
-        y, classes, spec, -1.0,
-        lambda targets, rng: _fit_binary_pegasos(X, targets, lam, epochs, rng),
-    )
-    return _linear_state(machines, present, X.shape[1], "objective_traces")
+    return _newton_state(X, y, classes, spec, -1.0,
+                         partial(_svm_linear_problem, spec.hyper("lam")),
+                         _NEWTON_TOL, SVM_LINEAR_CAPPED_WARNING)
 
 
 # ---------------------------------------------------------------------------
@@ -563,7 +577,7 @@ def _svm_rbf_state(X, y, classes, spec: ModelSpec) -> dict:
     C, tol, max_passes = spec.hyper("C"), spec.hyper("tol"), spec.hyper("max_passes")
     capped = []
 
-    def fit_binary(targets, rng):
+    def fit_binary(targets):
         alphas, b, stopped_at_cap = _fit_binary_smo(K, targets, C, tol, max_passes)
         capped.append(stopped_at_cap)
         keep = alphas > 0
@@ -574,7 +588,7 @@ def _svm_rbf_state(X, y, classes, spec: ModelSpec) -> dict:
             "all_alphas": alphas,
         }
 
-    machines, present = _one_vs_rest(y, classes, spec, -1.0, fit_binary)
+    machines, present = _one_vs_rest(y, classes, -1.0, fit_binary)
     if any(capped):
         # _svm_rbf_state < _train < train_svm_rbf < its caller
         warnings.warn(SVM_RBF_CAPPED_WARNING, stacklevel=4)
@@ -894,8 +908,8 @@ class Family(NamedTuple):
 # in the default order of a voter's members, which soft-vote means keep
 FAMILIES = {
     "lr": Family({"C": (1.0, _POSITIVE), "max_iter": (1000, _AT_LEAST_ONE),
-                  "tol": (1e-6, _NON_NEGATIVE)}, _lr_state, _linear_scores, dense=False),
-    "svm_linear": Family({"lam": (1e-4, _POSITIVE), "epochs": (50, _AT_LEAST_ONE)},
+                  "tol": (_NEWTON_TOL, _NON_NEGATIVE)}, _lr_state, _linear_scores, dense=False),
+    "svm_linear": Family({"lam": (1e-4, _POSITIVE), "max_iter": (1000, _AT_LEAST_ONE)},
                          _svm_linear_state, _linear_scores, dense=False),
     "svm_rbf": Family({"C": (1.0, _POSITIVE), "gamma": ("scale", _GAMMA),
                        "tol": (1e-3, _NON_NEGATIVE), "max_passes": (10, _AT_LEAST_ONE),

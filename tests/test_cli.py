@@ -165,6 +165,8 @@ class TestCv:
         ("preprocess", {"stem": "no"}, "stem"),
         ("preprocess", {"stemming": True}, "stemming"),
         ("hyperparameters", {"lr": {"learning_rate": 0.1}}, "learning_rate"),
+        # svm_linear's Pegasos epochs, which max_iter replaced
+        ("hyperparameters", {"svm_linear": {"epochs": 5}}, "epochs"),
     ])
     def test_bad_section_is_usage_error_before_data_is_read(
         self, tmp_path, capsys, key, value, named
@@ -358,6 +360,23 @@ class TestTrainPredict:
         assert main(["predict", "--model", str(model_path),
                      "--input", workdir["data"]]) == 1
         assert "learning_rate" in capsys.readouterr().err
+
+    def test_saved_epochs_is_usage_error(self, workdir, capsys):
+        # svm_linear has no epochs since it fits by Newton-CG; a model file
+        # written before then is refused as its config would be
+        model_path = workdir["tmp"] / "model.json"
+        assert main(["train", "--config", workdir["config"], "--model", "svm_linear",
+                     "--out", str(model_path)]) == 0
+        env = json.loads(model_path.read_text())
+        assert env["model"]["spec"]["family"] == "svm_linear"
+        env["model"]["spec"]["hyperparameters"]["epochs"] = 50
+        model_path.write_text(json.dumps(env))
+        capsys.readouterr()
+        assert main(["predict", "--model", str(model_path),
+                     "--input", workdir["data"]]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "epochs" in err
+        assert len(err.splitlines()) == 1
 
     def test_edited_vocabulary_is_usage_error_at_load(self, workdir, capsys):
         model_path = workdir["tmp"] / "model.json"

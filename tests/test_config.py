@@ -108,7 +108,7 @@ JSON_VALUES = st.one_of(
     st.dictionaries(st.text(max_size=3), st.integers(0, 3), max_size=2),
 )
 # the settings that bound a fit's work, kept small so that a draw runs fast
-SMALL_FITS = {"lr": {"max_iter": 2}, "svm_linear": {"epochs": 2},
+SMALL_FITS = {"lr": {"max_iter": 2}, "svm_linear": {"max_iter": 2},
               "svm_rbf": {"max_passes": 1}, "dt": {}, "rf": {"n_trees": 2}}
 # every other setting, with the values it admits
 SETTINGS = {

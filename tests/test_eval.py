@@ -376,7 +376,7 @@ class TestOneFitPath:
             "scaling": "zscore", "lexicons": lexicon_files, "seed": 6,
             # a listed subset of base models: voters must vote over these
             "models": ["lr", "svm_linear", "dt", "soft_vote", "hard_vote"],
-            "hyperparameters": {"svm_linear": {"epochs": 5}},
+            "hyperparameters": {"svm_linear": {"max_iter": 50}},
         })
         scored = []
         original = ev.confusion_matrix

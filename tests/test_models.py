@@ -128,11 +128,51 @@ class TestOptimizerContracts:
             diffs = np.diff(trace)
             assert (diffs <= 1e-12).all()
 
-    def test_pegasos_objective_trace_monotone(self):
+    @pytest.mark.parametrize("layout", ["dense", "csr"])
+    def test_squared_hinge_gradient_matches_finite_differences(self, layout):
+        rng = derive_rng(3, "fd")
+        worst = 0.0
+        for _ in range(20):
+            n, d = int(rng.integers(4, 12)), int(rng.integers(2, 6))
+            X = rng.normal(size=(n, d)) * (rng.random((n, d)) < 0.7)
+            t = np.where(rng.integers(0, 2, size=n) == 1, 1.0, -1.0)
+            lam = float(rng.choice([1e-4, 0.1, 1.0]))
+            objective, _ = M._svm_linear_problem(
+                lam, sparse.csr_matrix(X) if layout == "csr" else X, t)
+            theta = rng.normal(size=d + 1)
+            loss, g = objective(theta)
+            w, b = theta[:-1], theta[-1]
+            assert loss == pytest.approx(
+                lam / 2 * w @ w + np.mean(np.maximum(0.0, 1.0 - t * (X @ w + b)) ** 2),
+                rel=1e-12)
+            eps = 1e-6
+            for j in range(d + 1):
+                e = np.zeros(d + 1)
+                e[j] = eps
+                fd = (objective(theta + e)[0] - objective(theta - e)[0]) / (2 * eps)
+                worst = max(worst, abs(fd - g[j]) / max(1.0, abs(fd)))
+        assert worst < 1e-5
+
+    def test_squared_hinge_loss_trace_monotone_non_increasing(self):
         X, y = blobs(seed=5)
         model = train_svm_linear(X, y, make_spec("svm_linear", seed=0))
-        for trace in model.state["objective_traces"]:
-            assert (np.diff(trace) <= 1e-9).all()
+        for trace in model.state["loss_traces"]:
+            assert len(trace) >= 2
+            assert (np.diff(trace) <= 0.0).all()
+        # no random numbers are drawn: the seed changes nothing
+        other = train_svm_linear(X, y, make_spec("svm_linear", seed=9))
+        assert canonical_json(model_to_envelope(other)["state"]) == \
+            canonical_json(model_to_envelope(model)["state"])
+
+    def test_squared_hinge_fit_stops_below_tol(self):
+        # overlapping classes, so that no step reaches a zero gradient
+        X, y = blobs(seed=5, centers=((0.0, 0.0), (1.0, 1.0)))
+        for lam in (1e-4, 1e-2):
+            model = train_svm_linear(X, y, make_spec("svm_linear", lam=lam))
+            for trace in model.state["loss_traces"]:
+                assert 2 <= len(trace) - 1 < M.FAMILIES["svm_linear"].hyper["max_iter"][0]
+                assert 0.0 <= trace[-2] - trace[-1] < M._NEWTON_TOL
+                assert (np.diff(trace)[:-1] <= -M._NEWTON_TOL).all()
 
     def test_smo_multipliers_within_box(self):
         X, y = blobs(n=40, seed=6)
@@ -153,6 +193,9 @@ class TestOptimizerContracts:
             sparse_m = TRAINERS[family](Xs, y, make_spec(family, seed=0))
             assert np.allclose(dense.state["W"], sparse_m.state["W"])
             assert predict(dense, X) == predict(sparse_m, Xs)
+            for model, form in ((dense, Xs), (sparse_m, X), (sparse_m, Xs)):
+                assert np.abs(predict_proba(model, form) - predict_proba(dense, X)).max() \
+                    <= 1e-12, family
 
 
 def gradient_descent_lr(X, targets, C, learning_rate=0.1, max_iter=1000, tol=1e-6):
@@ -202,6 +245,42 @@ class TestNewtonSolver:
             fd = (grad(theta + eps * v) - grad(theta - eps * v)) / (2 * eps)
             worst = max(worst, float(np.max(np.abs(fd - Hv))) / max(1.0, float(np.max(np.abs(fd)))))
         assert worst < 1e-7
+
+    @pytest.mark.parametrize("layout", ["dense", "csr"])
+    def test_squared_hinge_hessian_product_matches_central_differences(self, layout):
+        # away from a kink (a row with t z = 1) the generalized Hessian is
+        # the Hessian; a random point lies that far from every kink
+        rng = derive_rng(51, "hessian")
+        worst = 0.0
+        for _ in range(10):
+            n, d = int(rng.integers(5, 15)), int(rng.integers(2, 6))
+            X = rng.normal(size=(n, d)) * (rng.random((n, d)) < 0.6)
+            X = sparse.csr_matrix(X) if layout == "csr" else X
+            t = np.where(rng.integers(0, 2, size=n) == 1, 1.0, -1.0)
+            lam = float(rng.choice([1e-4, 0.1, 1.0]))
+            theta = rng.normal(size=d + 1)
+            v = rng.normal(size=d + 1)
+            objective, hessian = M._svm_linear_problem(lam, X, t)
+            Hv = hessian(theta)(v)
+            eps = 1e-6
+            fd = (objective(theta + eps * v)[1] - objective(theta - eps * v)[1]) / (2 * eps)
+            worst = max(worst, float(np.max(np.abs(fd - Hv))) / max(1.0, float(np.max(np.abs(fd)))))
+        assert worst < 1e-7
+
+    def test_backtracks_past_an_overflowed_trial(self):
+        # a loss that is infinite past theta = 0.5, under a Hessian that
+        # understates the curvature: the full step (3.2) and two halvings
+        # overflow, and the third halving lands on the minimum at 0.4
+        def objective(theta):
+            loss = (theta[0] - 0.4) ** 2 if theta[0] < 0.5 else np.inf
+            return loss, np.array([2.0 * (theta[0] - 0.4), 0.0])
+
+        def hessian(theta):
+            return lambda v: np.array([0.25 * v[0], v[1]])
+
+        w, b, trace = M._newton_fit(objective, hessian, 2, 10, 0.0, "lr")
+        assert w.tolist() == [0.4] and b == 0.0
+        assert trace == [(0.0 - 0.4) ** 2, 0.0]
 
     @settings(max_examples=40, deadline=None)
     @given(data=st.data())
@@ -629,13 +708,14 @@ class TestProbabilities:
         assert (proba >= 0).all()
 
     def test_rows_sum_to_one_where_every_expit_underflows(self):
-        # found by TestEveryFamilyProperties: far from its training rows,
-        # Pegasos's large weights give both classes margins below -745,
-        # whose expit is 0, and the row once summed to 0
-        X = np.zeros((9, 4))
-        X[7, 3], X[8, 1] = -1.0, 3.0
-        y = ["a", "b", "a", "a", "a", "a", "a", "b", "a"]
-        model = train_svm_linear(X, y, make_spec("svm_linear", seed=3, epochs=2))
+        # found by TestEveryFamilyProperties: far from its training rows, a
+        # linear model with large weights gives both classes margins below
+        # -745, whose expit is 0, and the row once summed to 0
+        model = M.TrainedModel(
+            make_spec("svm_linear"), ("a", "b"), np.array([0.5, 0.5]), 4,
+            {"W": np.array([[0.0, 900.0, 0.0, 100.0], [0.0, 10.0, 0.0, -1000.0]]),
+             "b": np.array([-50.0, 200.0]), "present": np.array([True, True])},
+        )
         unseen = np.array([[0.0, -1.0, 0.0, 1.0]])
         margins = unseen @ model.state["W"].T + model.state["b"]
         assert (margins < -745).all()
@@ -751,7 +831,7 @@ class TestHardVoteLabels:
         y = list(rng.choice(["a", "b", "c"], size=90, p=[0.2, 0.3, 0.5]))
         vm = make_voting("hard", [
             train_lr(X, y, make_spec("lr", seed=0)),
-            train_svm_linear(X, y, make_spec("svm_linear", seed=0, epochs=3)),
+            train_svm_linear(X, y, make_spec("svm_linear", seed=0, max_iter=20)),
             train_svm_rbf(X, y, make_spec("svm_rbf", seed=0)),
             train_dt(X, y, make_spec("dt", seed=0, max_depth=3)),
             train_rf(X, y, make_spec("rf", seed=1, n_trees=3)),
@@ -769,7 +849,7 @@ class TestHardVoteLabels:
 
 
 class TestNonFiniteInput:
-    HYPER = {"rf": {"n_trees": 3}, "svm_linear": {"epochs": 2}}
+    HYPER = {"rf": {"n_trees": 3}, "svm_linear": {"max_iter": 20}}
 
     @staticmethod
     def corrupt(X, bad, layout):
@@ -808,7 +888,9 @@ class TestNonFiniteInput:
             except DataError as exc:
                 assert family in str(exc) and "non-finite" in str(exc)
                 return
-        assert family != "svm_linear"  # Pegasos's weights overflow here
+        # the Newton direction overflows to NaN: once, the fit returned
+        # w = 0, b = 0, which predicts 0.5/0.5 for every row
+        assert family not in ("lr", "svm_linear")
         envelope = model_to_envelope(model)
         assert canonical_json(model_to_envelope(model_from_envelope(envelope))) == \
             canonical_json(envelope)
@@ -941,7 +1023,7 @@ class TestInputContract:
     DENSE = ("svm_rbf", "dt", "rf")
     HYPER = {
         "lr": {"max_iter": 40},
-        "svm_linear": {"epochs": 2},
+        "svm_linear": {"max_iter": 40},
         "svm_rbf": {"max_passes": 2},
         "rf": {"n_trees": 3},
     }
@@ -1039,6 +1121,9 @@ class TestInputContract:
 
 
 class TestLrCap:
+    """The Newton-CG step cap of lr and svm_linear, and where trainer
+    warnings point."""
+
     @staticmethod
     def three_classes():
         rng = derive_rng(40, "three")
@@ -1047,22 +1132,31 @@ class TestLrCap:
         X[:, 0] += [3.0 * ("abc".index(v)) for v in y]
         return X, y
 
+    CAPPED = {"lr": M.LR_CAPPED_WARNING, "svm_linear": M.SVM_LINEAR_CAPPED_WARNING}
+
     def test_capped_fit_warns_once(self):
         X, y = self.three_classes()
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            model = train_lr(X, y, make_spec("lr", seed=0, max_iter=1))
-        assert all(len(trace) == 2 for trace in model.state["loss_traces"])
-        capped = [w for w in caught if str(w.message) == M.LR_CAPPED_WARNING]
-        assert len(capped) == 1
-        assert capped[0].filename == __file__
+        for family, message in self.CAPPED.items():
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                model = TRAINERS[family](X, y, make_spec(family, seed=0, max_iter=1))
+            assert all(len(trace) == 2 for trace in model.state["loss_traces"]), family
+            capped = [w for w in caught if str(w.message) == message]
+            assert len(capped) == 1, family
+            assert capped[0].filename == __file__
+            assert "max_iter" in message
 
     def test_converged_fit_is_silent(self):
         X, y = self.three_classes()
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            model = train_lr(X, y, make_spec("lr", seed=0, tol=1.0))
-        assert all(len(trace) == 2 for trace in model.state["loss_traces"])
+        for family, hyper in (("lr", {"tol": 1.0}), ("svm_linear", {})):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                model = TRAINERS[family](X, y, make_spec(family, seed=0, **hyper))
+            tol = hyper.get("tol", M._NEWTON_TOL)
+            for trace in model.state["loss_traces"]:
+                assert trace[-2] - trace[-1] < tol, family
+                # tol = 1 stops lr after its first step
+                assert family != "lr" or len(trace) == 2
 
     def test_absent_class_warning_points_at_the_caller(self):
         X, y = blobs(n=20, seed=41)

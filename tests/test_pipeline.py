@@ -90,7 +90,7 @@ def test_hard_vote_scores_each_member_once(tmp_path, corpus, monkeypatch):
     cfg = config_from_dict({
         "dataset": "d.csv", "subtask": 1, "features": ["tfidf"],
         "models": ["hard_vote"], "seed": 4, "tfidf": {"min_df": 1},
-        "hyperparameters": {"rf": {"n_trees": 3}, "svm_linear": {"epochs": 3}},
+        "hyperparameters": {"rf": {"n_trees": 3}, "svm_linear": {"max_iter": 20}},
     }, str(tmp_path))
     p = fit_pipeline(texts, labels, cfg)
     assert len(p.model.members) == 5
