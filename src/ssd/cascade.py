@@ -133,8 +133,8 @@ def cascade_predict_batch(
             break
         stage_labels, proba = predict_pipeline(stage, batch.take(rows))
         column = {c: j for j, c in enumerate(stage.classes)}
-        for i, lab, pr in zip(rows, stage_labels, proba):
-            reached[i].append((lab, float(pr[column[lab]])))
+        for i, lab, pr in zip(rows, stage_labels, proba.tolist()):
+            reached[i].append((lab, pr[column[lab]]))
     out = []
     for verdicts in reached:
         unreached = [(None, None)] * (len(SUBTASKS) - len(verdicts))
@@ -159,10 +159,16 @@ def evaluate_cascade(m: CascadeModel, d: Dataset) -> dict:
             "pipeline_accuracy": exact / len(items)}
 
 
-def predictions_csv(preds: Sequence[CascadePrediction]) -> str:
-    """CSV rows `id,support,target,group,p1,p2,p3`, ids 1-based line numbers."""
+def predictions_csv(
+    preds: Sequence[CascadePrediction], ids: Sequence[int] | None = None
+) -> str:
+    """CSV rows `id,support,target,group,p1,p2,p3`; each id is the 1-based
+    input line number of its text, given in `ids` when blank lines were
+    left out, and otherwise the prediction's own position."""
     lines = ["id,support,target,group,p1,p2,p3"]
-    for i, p in enumerate(preds, start=1):
+    if ids is None:
+        ids = range(1, len(preds) + 1)
+    for i, p in zip(ids, preds):
         labels = [p.label.stage(k) or "" for k in SUBTASKS]
         probs = [f"{v:.6f}" if v is not None else "" for v in (p.p1, p.p2, p.p3)]
         lines.append(",".join([str(i), *labels, *probs]))

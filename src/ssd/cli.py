@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import sys
 from typing import Sequence
 
@@ -237,11 +238,14 @@ def _cmd_predict(args) -> int:
     pipeline = load_pipeline(args.model)
     ids, texts = _read_texts_csv(args.input)
     labels, proba = predict_pipeline(pipeline, texts)
-    lines = ["id,label," + ",".join(f"p_{c}" for c in pipeline.classes)]
-    for i, (cid, lab) in enumerate(zip(ids, labels)):
-        probs = ",".join(f"{v:.6f}" for v in proba[i])
-        lines.append(f"{cid},{lab},{probs}")
-    _write_or_print("\n".join(lines) + "\n", args.out)
+    # an id may hold a comma or a quote, as the CSV it came from allows;
+    # a plain field is written as it is
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(["id", "label", *(f"p_{c}" for c in pipeline.classes)])
+    for cid, lab, row in zip(ids, labels, proba):
+        writer.writerow([cid, lab, *(f"{v:.6f}" for v in row)])
+    _write_or_print(out.getvalue(), args.out)
     return 0
 
 
@@ -258,10 +262,9 @@ def _cmd_cascade_train(args) -> int:
 def _cmd_cascade_predict(args) -> int:
     model = casc.load_cascade(args.model)
     with open_input(args.input, "input") as fh:
-        texts = [line.rstrip("\n") for line in fh]
-    texts = [t for t in texts if t.strip()]
-    preds = casc.cascade_predict_batch(model, texts)
-    _write_or_print(casc.predictions_csv(preds), args.out)
+        kept = [(n, line.rstrip("\n")) for n, line in enumerate(fh, start=1) if line.strip()]
+    preds = casc.cascade_predict_batch(model, [text for _, text in kept])
+    _write_or_print(casc.predictions_csv(preds, [n for n, _ in kept]), args.out)
     return 0
 
 

@@ -3,15 +3,19 @@
 Four blocks: category-dictionary percentages (word count first), raw counts
 for eight emotions, rule-based (neg, neu, pos) sentiment proportions, and
 L2-normalized smooth-idf TF-IDF over unigrams. Blocks concatenate in a
-fixed order with optional z-scoring of the dense part.
+fixed order with optional z-scoring of the dense part, by a shift and a
+scale that each scaler makes once. The TF-IDF CSR is built from index
+arrays already in the dtype scipy would pick (`index_dtype`), so its
+constructor neither converts nor scans them.
 """
 
 from __future__ import annotations
 
 import math
+from array import array
 from collections import Counter
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -365,18 +369,33 @@ def fit_tfidf(
     return TfidfVectorizer({t: i for i, t in enumerate(vocab_tokens)}, idf, min_df, max_features)
 
 
+# read once: np.iinfo builds an object on every call
+_INT32_MAX = int(np.iinfo(np.int32).max)
+
+
+def index_dtype(*bounds: int) -> type:
+    """The index dtype of a CSR matrix whose dimensions and stored-entry
+    count are `bounds`: int32 wherever every bound fits in it, else int64,
+    which is what scipy's CSR constructor ends with, from Python lists or
+    from `sparse.hstack` alike. Built in that dtype, the constructor takes
+    the index arrays as they are instead of scanning or converting them."""
+    return np.int32 if max(bounds, default=0) <= _INT32_MAX else np.int64
+
+
 def transform_tfidf_corpus(
     v: TfidfVectorizer, streams: Iterable[TokenStream]
 ) -> sparse.csr_matrix:
     """Count x idf per document, L2-normalized; all-zero rows stay zero.
-    A row's norm is `math.sqrt(a.dot(a))` of its own array, as
+    A row's norm is `math.sqrt(a.dot(a))` of its own entries, as
     `np.linalg.norm` takes it, and a row whose norm is not positive (zero,
-    or NaN from a non-finite idf) is left undivided."""
+    or NaN from a non-finite idf) is left undivided. The CSR is built from
+    typed index arrays (`index_dtype`), and its arrays equal, bytes and
+    dtypes alike, those that `csr_matrix((data, indices, indptr))` makes
+    of Python lists."""
     vocabulary, idf = v.vocabulary, v._idf
     indptr = [0]
     indices: list[int] = []
-    rows_data: list[np.ndarray] = [np.empty(0)]  # so no rows concatenate too
-    norms: list[float] = []
+    values = array("d")  # 8 bytes an entry, where a list of floats holds 32
     for ts in streams:
         counts: dict[int, int] = {}
         for tok in ts.tokens:
@@ -384,17 +403,19 @@ def transform_tfidf_corpus(
             if j is not None:
                 counts[j] = counts.get(j, 0) + 1
         cols = sorted(counts)
-        vals = np.array([counts[j] * idf[j] for j in cols])
-        norms.append(math.sqrt(vals.dot(vals)))
-        indices.extend(cols)
-        rows_data.append(vals)
+        indices += cols
+        values.extend([counts[j] * idf[j] for j in cols])
         indptr.append(len(indices))
-    data = np.concatenate(rows_data)
-    scale = np.array(norms)
-    scale[~(scale > 0)] = 1.0  # x / 1.0 is x, bit for bit
-    data /= np.repeat(scale, np.diff(indptr))
+    data = np.array(values, dtype=float)
+    for start, end in zip(indptr, indptr[1:]):
+        row = data[start:end]
+        norm = math.sqrt(row.dot(row))
+        if norm > 0:
+            row /= norm
+    shape = (len(indptr) - 1, len(vocabulary))
+    idx = index_dtype(*shape, len(indices))
     return sparse.csr_matrix(
-        (data, indices, indptr), shape=(len(indptr) - 1, len(vocabulary))
+        (data, np.array(indices, dtype=idx), np.array(indptr, dtype=idx)), shape=shape
     )
 
 
@@ -414,6 +435,14 @@ BLOCK_ORDER = DENSE_BLOCKS + ("tfidf",)
 class Scaler:
     mean: np.ndarray
     std: np.ndarray
+
+    @cached_property
+    def shift_scale(self) -> tuple[np.ndarray, np.ndarray]:
+        """What standardizing subtracts and divides by, made once: (mean,
+        std) for a column with std > 0, and (0.0, 1.0), under which x
+        passes bit for bit, for a constant one."""
+        nonconstant = self.std > 0
+        return np.where(nonconstant, self.mean, 0.0), np.where(nonconstant, self.std, 1.0)
 
 
 def fit_feature_scaler(dense: np.ndarray) -> Scaler:
@@ -445,25 +474,21 @@ def combine_features(
 ) -> FeatureMatrix:
     """Concatenate blocks in the fixed order liwc, emotion, sentiment,
     tfidf; z-score dense columns when requested (constant columns pass
-    through unchanged). The TF-IDF block is never scaled."""
+    through unchanged). The TF-IDF block is never scaled. The dense
+    columns are one new array, standardized in place."""
     if scaling not in SCALINGS:
         raise UsageError(f"unknown scaling {scaling!r}")
     by_name = dict(blocks)
     if len(by_name) != len(blocks):
         raise UsageError("duplicate feature block names")
-    unknown = set(by_name) - set(BLOCK_ORDER)
+    unknown = by_name.keys() - BLOCK_ORDER
     if unknown:
         raise UsageError(f"unknown feature blocks: {sorted(unknown)}")
     if not by_name:
         raise UsageError("at least one feature block is required")
-
-    n_rows = None
-    for name, mat in by_name.items():
-        rows = mat.shape[0]
-        if n_rows is None:
-            n_rows = rows
-        elif rows != n_rows:
-            raise UsageError("feature blocks disagree on row count")
+    row_counts = {mat.shape[0] for mat in by_name.values()}
+    if len(row_counts) != 1:
+        raise UsageError("feature blocks disagree on row count")
 
     dense_parts = []
     layout = []
@@ -472,18 +497,19 @@ def combine_features(
             part = np.asarray(by_name[name], dtype=float)
             dense_parts.append(part)
             layout.append((name, part.shape[1]))
-    dense = np.hstack(dense_parts) if dense_parts else np.empty((n_rows, 0))
+    dense = (
+        np.concatenate(dense_parts, axis=1) if dense_parts
+        else np.empty((row_counts.pop(), 0))
+    )
 
     if scaling == "zscore" and dense.shape[1]:
         if fit_stats is None:
             raise UsageError("zscore scaling requires fitted statistics")
         if fit_stats.mean.shape[0] != dense.shape[1]:
             raise UsageError("scaler statistics do not match the dense layout")
-        dense = dense.copy()
-        nonconstant = fit_stats.std > 0
-        dense[:, nonconstant] = (
-            dense[:, nonconstant] - fit_stats.mean[nonconstant]
-        ) / fit_stats.std[nonconstant]
+        shift, scale = fit_stats.shift_scale
+        dense -= shift
+        dense /= scale
 
     tfidf = by_name.get("tfidf")
     if tfidf is not None:

@@ -19,7 +19,12 @@ svm_linear work on it in the form it is given (CSR or dense rows); the
 `densify_budget`, or a `DataError`, so their output depends on the values
 of the input, not on its storage. lr, svm_linear and svm_rbf share one
 one-vs-rest loop; a decision tree is the one-tree, no-bootstrap case of
-the forest trainer.
+the forest trainer. A family's `held` form of its state is what a fit
+returns and a load gives: lr and svm_linear hold W in column order, so
+that W.T is C-contiguous and scipy's sparse product reads it in place,
+while a dense product is taken with row-order W, as it always was, since
+numpy's BLAS rounds by the operands' layout. Files keep every state by
+value, so the layout does not reach them.
 
 A forest's trees grow together, each depth first on its own stack: a
 round takes the next node of every tree, draws each node's feature sample
@@ -189,15 +194,16 @@ def _resolve_classes(y: Sequence[str], classes: Sequence[str] | None):
 def _train(family: str, X, y, spec: ModelSpec, classes) -> TrainedModel:
     """What every trainer does around its family's fit: check that the
     spec is of `family`, take the input step, resolve the classes, check
-    the sample count, and wrap the state that the family's `fit` returns
-    once it is finite."""
+    the sample count, and wrap the state that the family's `fit` returns,
+    in its `held` form, once it is finite."""
     if spec.family != family:
         raise UsageError(f"train_{family} was given a {spec.family} spec")
     X = _model_input(X, spec)
     y, classes, priors = _resolve_classes(y, classes)
     if len(y) != X.shape[0]:
         raise UsageError("X and y disagree on sample count")
-    state = FAMILIES[family].fit(X, y, classes, spec)
+    fam = FAMILIES[family]
+    state = fam.held(fam.fit(X, y, classes, spec))
     if not _finite(state):
         raise DataError(f"{spec.family} {_OVERFLOWED}")
     return TrainedModel(spec, classes, priors, X.shape[1], state)
@@ -247,16 +253,29 @@ def _margin_proba(margins: np.ndarray, present: np.ndarray) -> np.ndarray:
     scores = expit(margins)
     scores[:, ~present] = 0.0
     totals = scores.sum(axis=1, keepdims=True)
-    lost = totals[:, 0] == 0.0
-    if lost.any():
+    if not totals.all():
+        lost = totals[:, 0] == 0.0
         at = np.ix_(lost, present)
         scores[at] = np.exp(margins[at] - margins[at].max(axis=1, keepdims=True))
         totals[lost] = scores[lost].sum(axis=1, keepdims=True)
     return scores / totals
 
 
+def _held_linear(state: dict) -> dict:
+    """A linear state as scoring holds it: W in column order, so that W.T
+    is C-contiguous and scipy's sparse product reads it in place instead
+    of copying all of it on every call. Files keep W by value, so they do
+    not change."""
+    return {**state, "W": np.asfortranarray(state["W"])}
+
+
 def _linear_scores(state: dict, X) -> np.ndarray:
-    return _margin_proba(np.asarray(X @ state["W"].T) + state["b"], state["present"])
+    W = state["W"]
+    if not sparse.issparse(X):
+        # numpy's BLAS product rounds by the operands' layout; dense input
+        # keeps the row order that models have always been scored with
+        W = np.ascontiguousarray(W)
+    return _margin_proba(np.asarray(X @ W.T) + state["b"], state["present"])
 
 
 # ---------------------------------------------------------------------------
@@ -903,14 +922,18 @@ class Family(NamedTuple):
     fit: Callable  # (X, y, classes, spec) -> the fitted state
     scores: Callable  # (state, X) -> class probabilities, one row per row of X
     dense: bool  # works on a dense array, which sparse input is densified to
+    # state -> the same state as scoring holds it in memory, applied where a
+    # state is fitted and where one is loaded; it adds no key
+    held: Callable = lambda state: state
 
 
 # in the default order of a voter's members, which soft-vote means keep
 FAMILIES = {
     "lr": Family({"C": (1.0, _POSITIVE), "max_iter": (1000, _AT_LEAST_ONE),
-                  "tol": (_NEWTON_TOL, _NON_NEGATIVE)}, _lr_state, _linear_scores, dense=False),
+                  "tol": (_NEWTON_TOL, _NON_NEGATIVE)}, _lr_state, _linear_scores, dense=False,
+                 held=_held_linear),
     "svm_linear": Family({"lam": (1e-4, _POSITIVE), "max_iter": (1000, _AT_LEAST_ONE)},
-                         _svm_linear_state, _linear_scores, dense=False),
+                         _svm_linear_state, _linear_scores, dense=False, held=_held_linear),
     "svm_rbf": Family({"C": (1.0, _POSITIVE), "gamma": ("scale", _GAMMA),
                        "tol": (1e-3, _NON_NEGATIVE), "max_passes": (10, _AT_LEAST_ONE),
                        "densify_budget": _DENSIFY_BUDGET},
@@ -1105,6 +1128,7 @@ def model_from_envelope(env: dict):
     spec = section("spec", lambda: ModelSpec(
         env["spec"]["family"], env["spec"]["hyperparameters"], env["spec"]["seed"]
     ))
+    state = section("state", lambda: FAMILIES[spec.family].held(state))
     return TrainedModel(spec, classes, priors, n_features, state)
 
 

@@ -37,6 +37,7 @@ from .features import (
     emotion_features,
     fit_feature_scaler,
     fit_tfidf,
+    index_dtype,
     liwc_features,
     load_category_lexicon,
     load_emotion_lexicon,
@@ -342,9 +343,9 @@ def matrix_for_family(fm: FeatureMatrix):
     stacked with the sparse TF-IDF block, built as one CSR in a single
     construction. Each row holds its nonzero dense entries, then its
     TF-IDF entries shifted by the dense width; the arrays equal, bytes and
-    dtypes alike, those of `sparse.hstack([csr_matrix(dense), tfidf])`.
-    Each family's own form of it is made in `models`. (perfbench/spans.py
-    wraps this name.)"""
+    dtypes alike, those of `sparse.hstack([csr_matrix(dense), tfidf])`,
+    with indices in `index_dtype`. Each family's own form of it is made in
+    `models`. (perfbench/spans.py wraps this name.)"""
     dense, tfidf = fm.dense, fm.tfidf
     if tfidf is None:
         return dense
@@ -352,24 +353,23 @@ def matrix_for_family(fm: FeatureMatrix):
     if width == 0:
         return tfidf
     rows, cols = np.nonzero(dense)
-    dense_ptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(rows, minlength=n), out=dense_ptr[1:])
     nnz = rows.size + tfidf.nnz
     shape = (n, width + tfidf.shape[1])
-    # int32 indices wherever they fit, as `sparse.hstack` chooses; built as
-    # int64, the constructor would scan them to narrow them
-    idx = np.int32 if max(shape[1], nnz) <= np.iinfo(np.int32).max else np.int64
-    # a dense entry moves past the TF-IDF entries of the rows before it,
-    # a TF-IDF entry past the dense entries of its own row and those before
-    at_dense = np.arange(rows.size) + tfidf.indptr[rows]
-    at_tfidf = np.arange(tfidf.nnz) + np.repeat(dense_ptr[1:], np.diff(tfidf.indptr))
-    data = np.empty(nnz, dtype=np.result_type(dense.dtype, tfidf.dtype))
+    idx = index_dtype(*shape, nnz)
+    # a dense entry moves past the TF-IDF entries of the rows before it and
+    # the dense entries before it; every other place takes a TF-IDF entry
+    at_dense = tfidf.indptr[rows] + np.arange(rows.size)
+    at_tfidf = np.ones(nnz, dtype=bool)
+    at_tfidf[at_dense] = False
+    data = np.empty(nnz, dtype=np.promote_types(dense.dtype, tfidf.dtype))
     data[at_dense] = dense[rows, cols]
     data[at_tfidf] = tfidf.data
     indices = np.empty(nnz, dtype=idx)
     indices[at_dense] = cols
     indices[at_tfidf] = tfidf.indices + width
-    indptr = (dense_ptr + tfidf.indptr).astype(idx)
+    # the rows are in order, so a row's dense entries start where the
+    # sorted row numbers reach it
+    indptr = np.add(tfidf.indptr, rows.searchsorted(np.arange(n + 1)), dtype=idx)
     return sparse.csr_matrix((data, indices, indptr), shape=shape)
 
 

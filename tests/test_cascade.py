@@ -4,6 +4,7 @@ serialization, and structural validity of every prediction."""
 import dataclasses
 import json
 
+import numpy as np
 import pytest
 
 from ssd.cascade import (
@@ -91,22 +92,72 @@ class TestGating:
             assert p.label.group == group
 
 
-def test_one_text_labels_equal_its_batch_labels(tmp_path, lexicon_files):
-    """A text labelled alone gets the label and probabilities, bit for bit,
-    that it gets inside a batch."""
-    ds = make_support_corpus(260, seed=13, hierarchical=True)
+def _one_and_batch(tmp_path, lexicon_files, model_name, n_items=260,
+                   hyperparameters=None):
+    """Texts labelled one by one, and the same texts labelled as one batch,
+    by a cascade of `model_name` stages."""
+    ds = make_support_corpus(n_items, seed=13, hierarchical=True)
     cfg = hier_config(tmp_path, "unused.csv",
                       features=["liwc", "emotion", "sentiment", "tfidf"],
-                      scaling="zscore", lexicons=lexicon_files)
+                      scaling="zscore", lexicons=lexicon_files, models=[model_name],
+                      hyperparameters=hyperparameters or {})
     model = train_cascade(ds, cfg)
     texts = make_support_corpus(80, seed=23, hierarchical=True).texts()
     texts += ["", "zebra quilt"]
     batch = cascade_predict_batch(model, texts)
     assert {p.p3 is None for p in batch} == {True, False}
-    for text, expected in zip(texts, batch):
-        one = cascade_predict(model, text)
-        assert one.label == expected.label
-        assert (one.p1, one.p2, one.p3) == (expected.p1, expected.p2, expected.p3)
+    return [cascade_predict(model, text) for text in texts], batch
+
+
+def _probabilities(preds):
+    return [(p.p1, p.p2, p.p3) for p in preds]
+
+
+def test_one_text_labels_equal_its_batch_labels(tmp_path, lexicon_files):
+    """A text labelled alone gets the label and probabilities, bit for bit,
+    that it gets inside a batch."""
+    singles, batch = _one_and_batch(tmp_path, lexicon_files, "lr")
+    assert [p.label for p in singles] == [p.label for p in batch]
+    assert _probabilities(singles) == _probabilities(batch)
+
+
+# small forests, so that the voters, which fit every family, stay quick
+_SMALL = {"rf": {"n_trees": 5}}
+# svm_rbf multiplies its kernel through BLAS, whose rounding depends on how
+# many rows a call holds; a soft vote averages an svm_rbf member in
+_BATCH_ROUNDED = {"svm_rbf", "soft_vote"}
+
+
+@pytest.mark.parametrize(
+    "model_name", ["svm_linear", "svm_rbf", "dt", "rf", "soft_vote", "hard_vote"])
+def test_one_text_labels_equal_its_batch_labels_for_family(
+        tmp_path, lexicon_files, model_name):
+    """The same for every other family and both voters: the dense families
+    densify a one-row matrix, and a voter combines its members' rows. Where
+    BLAS rounds by row count, the probabilities agree to 1e-12."""
+    singles, batch = _one_and_batch(tmp_path, lexicon_files, model_name,
+                                    n_items=160, hyperparameters=_SMALL)
+    assert [p.label for p in singles] == [p.label for p in batch]
+    if model_name in _BATCH_ROUNDED:
+        for one, many in zip(_probabilities(singles), _probabilities(batch)):
+            assert [a is None for a in one] == [b is None for b in many]
+            assert np.allclose([a for a in one if a is not None],
+                               [b for b in many if b is not None], rtol=1e-12, atol=0)
+    else:
+        assert _probabilities(singles) == _probabilities(batch)
+
+
+@pytest.mark.parametrize("model_name", [
+    pytest.param(name, marks=pytest.mark.xfail(
+        strict=True, reason="svm_rbf's kernel products round by the batch's row count"))
+    for name in sorted(_BATCH_ROUNDED)])
+def test_one_text_probabilities_equal_batch_bits_where_blas_rounds(
+        tmp_path, lexicon_files, model_name):
+    """The bit-for-bit form of the test above, which svm_rbf does not meet
+    yet; strict, so that it fails once it does."""
+    singles, batch = _one_and_batch(tmp_path, lexicon_files, model_name,
+                                    n_items=160, hyperparameters=_SMALL)
+    assert _probabilities(singles) == _probabilities(batch)
 
 
 class TestEvaluation:

@@ -1,5 +1,7 @@
 """End-to-end command-line runs through main(): outputs, files, exit codes."""
 
+import csv
+import io
 import json
 from pathlib import Path
 
@@ -291,6 +293,28 @@ class TestTrainPredict:
             hits += truth[cid] == label
         assert hits / 200 >= 0.95
 
+    def test_ids_with_commas_and_quotes_stay_one_field(self, workdir, capsys):
+        model_path = workdir["tmp"] / "model.json"
+        main(["train", "--config", workdir["config"], "--out", str(model_path)])
+        input_path = workdir["tmp"] / "odd_ids.csv"
+        ids = ["plain", "a,b", 'say "hi"', "x1"]
+        with open(input_path, "w", newline="", encoding="utf-8") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["id", "text"])
+            for cid in ids:
+                writer.writerow([cid, "bless hope strong"])
+        capsys.readouterr()
+        assert main(["predict", "--model", str(model_path),
+                     "--input", str(input_path)]) == 0
+        out = capsys.readouterr().out
+        rows = list(csv.reader(io.StringIO(out)))
+        assert rows[0] == ["id", "label", "p_SS", "p_NSS"]
+        assert [row[0] for row in rows[1:]] == ids
+        assert all(len(row) == 4 for row in rows)
+        # a plain id is written as it is, with no quotes
+        assert out.splitlines()[1].startswith("plain,")
+        assert out.splitlines()[4].startswith("x1,")
+
     def test_predict_to_stdout(self, workdir, capsys):
         model_path = workdir["tmp"] / "model.json"
         main(["train", "--config", workdir["config"], "--out", str(model_path)])
@@ -421,6 +445,8 @@ class TestCascadeCommands:
         assert len(lines) == 3  # two non-blank inputs
         assert lines[1].split(",")[1] == "NSS"
         assert lines[2].split(",")[1] == "SS"
+        # ids are input line numbers, counting the blank line
+        assert [line.split(",")[0] for line in lines[1:]] == ["1", "3"]
 
     def test_case_folded_abbreviation_lookalike_is_left_alone(self, workdir, capsys):
         # IGNORECASE matched "plſ" to the key "pls" but "plſ".lower() is no key

@@ -19,6 +19,7 @@ from ssd.features import (
     emotion_features,
     fit_feature_scaler,
     fit_tfidf,
+    index_dtype,
     liwc_features,
     load_category_lexicon,
     load_emotion_lexicon,
@@ -307,6 +308,61 @@ class TestTfidf:
             fit_tfidf([ts("a")], min_df=1, max_features=0)
 
 
+def _same_csr_arrays(got, want):
+    assert got.shape == want.shape
+    for part in ("data", "indices", "indptr"):
+        a, b = getattr(got, part), getattr(want, part)
+        assert a.dtype == b.dtype, part
+        assert a.tobytes() == b.tobytes(), part
+
+
+class _WideVocabulary(dict):
+    """A vocabulary that reports 2**31 columns while holding a few words,
+    so a TF-IDF matrix past the int32 limit costs no memory."""
+
+    def __len__(self):
+        return 2**31
+
+
+class TestTfidfConstruction:
+    """The CSR is built from typed index arrays; its arrays are those that
+    scipy makes of Python lists (the conftest oracle builds it so)."""
+
+    @pytest.mark.parametrize("streams", [
+        [ts("a", "b"), ts("b", "c", "c")],
+        [ts("zzz"), ts("a", "b"), ts(), ts("c"), ts("qq")],  # empty rows
+        [ts(), ts("zzz")],  # no stored entry at all
+        [],  # an empty batch
+    ], ids=["rows", "empty-rows", "all-empty", "no-rows"])
+    def test_arrays_equal_those_built_from_lists(self, streams):
+        from conftest import oracle_transform_tfidf_corpus
+
+        v = fit_tfidf([ts("a", "b"), ts("a", "c")], min_df=1)
+        got = transform_tfidf_corpus(v, streams)
+        _same_csr_arrays(got, oracle_transform_tfidf_corpus(v, streams))
+        assert got.indices.dtype == got.indptr.dtype == np.int32
+
+    def test_past_the_int32_limit_indices_are_int64(self):
+        from conftest import oracle_transform_tfidf_corpus
+
+        v = TfidfVectorizer(_WideVocabulary(a=0, b=1), np.array([1.0, 2.0]), 1, 2)
+        streams = [ts("a", "b", "b"), ts("zzz")]
+        got = transform_tfidf_corpus(v, streams)
+        assert got.shape == (2, 2**31)
+        assert got.indices.dtype == np.int64
+        _same_csr_arrays(got, oracle_transform_tfidf_corpus(v, streams))
+
+    @pytest.mark.parametrize("bounds", [
+        (), (0,), (1, 5, 0), (2**31 - 1,), (3, 2**31 - 1, 2**31 - 1),
+        (2**31,), (1, 2**31, 7), (5, 5, 2**31), (2**40,),
+    ])
+    def test_index_dtype_rule(self, bounds):
+        """int32 exactly where scipy picks it for the largest bound."""
+        want = sparse.get_index_dtype(maxval=max(bounds, default=0))
+        assert index_dtype(*bounds) is want
+        assert (want is np.int32) == (max(bounds, default=0) < 2**31)
+
+
 # a small word pool, so that streams repeat their tokens and prefixes match
 # several words; TF-IDF rows draw from a larger one, so that a row can hold
 # more entries than a BLAS dot product sums one by one
@@ -456,6 +512,22 @@ class TestCombine:
         assert col.mean() == pytest.approx(0.0, abs=1e-7)
         assert col.std() == pytest.approx(1.0, abs=1e-6)
         assert fm.dense[:, 1] == pytest.approx([5.0, 5.0, 5.0])  # σ=0 untouched
+
+    def test_zscore_equals_the_masked_formula_bit_for_bit(self):
+        """A precomputed shift and scale give what standardizing only the
+        non-constant columns gives; the input blocks are left alone."""
+        fit = np.array([[1.0, 5.0, -0.0, 2.0], [3.0, 5.0, 0.0, 7.5], [5.5, 5.0, 0.0, 1e-300]])
+        scaler = fit_feature_scaler(fit)
+        X = np.array([[0.1, 5.0, -0.0, 3.0], [-7.0, -0.0, 2.0, 1e300], [1.0, 4.0, 0.0, -0.0]])
+        before = X.copy()
+        fm = combine_features([("liwc", X)], scaling="zscore", fit_stats=scaler)
+        want = X.copy()
+        nonconstant = scaler.std > 0
+        want[:, nonconstant] = (want[:, nonconstant] - scaler.mean[nonconstant]) \
+            / scaler.std[nonconstant]
+        assert fm.dense.tobytes() == want.tobytes()
+        assert X.tobytes() == before.tobytes()
+        assert not nonconstant.all() and nonconstant.any()
 
     def test_unknown_block_rejected(self):
         with pytest.raises(UsageError):

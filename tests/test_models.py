@@ -918,6 +918,33 @@ class TestSerialization:
         assert predict(again, X) == predict(model, X)
         assert np.allclose(predict_proba(again, X), predict_proba(model, X))
 
+    @pytest.mark.parametrize("family", ["lr", "svm_linear"])
+    def test_linear_weights_are_held_for_the_sparse_product(self, family, tmp_path):
+        """Fitted or loaded, a linear model holds W so that W.T is
+        C-contiguous, with the same state keys; both score bit for bit as
+        row-order weights do, on sparse and dense rows alike, and save ->
+        load -> save gives the same bytes."""
+        rng = derive_rng(24, "wide")
+        X = rng.normal(size=(45, 30))
+        y = [("a", "b", "c")[k] for k in np.argmax(X[:, :3], axis=1)]
+        X[X < 0.3] = 0.0
+        Xs = sparse.csr_matrix(X)
+        model = TRAINERS[family](Xs, y, make_spec(family, seed=1))
+        path, again_path = tmp_path / "m.json", tmp_path / "again.json"
+        save_model(model, str(path))
+        again = load_model(str(path))
+        save_model(again, str(again_path))
+        assert again_path.read_bytes() == path.read_bytes()
+        row_order = M.TrainedModel(model.spec, model.classes, model.priors, model.n_features,
+                                   {**model.state, "W": np.ascontiguousarray(model.state["W"])})
+        for m in (model, again):
+            assert m.state["W"].T.flags.c_contiguous
+            assert set(m.state) == {"W", "b", "present", "loss_traces"}
+        for rows in (Xs, X, Xs[:1], X[:1]):
+            want = predict_proba(row_order, rows).tobytes()
+            assert predict_proba(model, rows).tobytes() == want
+            assert predict_proba(again, rows).tobytes() == want
+
     def test_save_is_byte_deterministic(self, tmp_path):
         X, y = blobs(n=24, seed=21)
         model = train_rf(X, y, make_spec("rf", seed=2, n_trees=3))
@@ -957,6 +984,18 @@ class TestSerialization:
         X, y = blobs(n=24, seed=24)
         env = model_to_envelope(make_voting("soft", [train_lr(X, y, make_spec("lr"))]))
         env["state"] = model_to_envelope(train_lr(X, y, make_spec("lr")))["state"]
+        with pytest.raises(FormatError, match="'state'"):
+            model_from_envelope(env)
+
+    @pytest.mark.parametrize("family", ["lr", "svm_linear"])
+    def test_linear_state_without_weights_is_format_error(self, family):
+        """A loaded linear state is put in its held form at load, so a state
+        without W fails there, not at the first prediction."""
+        X, y = blobs(n=24, seed=25)
+        model = TRAINERS[family](X, y, make_spec(family))
+        state = {k: v for k, v in model.state.items() if k != "W"}
+        env = model_to_envelope(M.TrainedModel(
+            model.spec, model.classes, model.priors, model.n_features, state))
         with pytest.raises(FormatError, match="'state'"):
             model_from_envelope(env)
 

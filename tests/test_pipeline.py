@@ -259,6 +259,15 @@ def _hstack_oracle(fm):
     return sparse.hstack([sparse.csr_matrix(fm.dense), fm.tfidf], format="csr")
 
 
+def _same_as_hstack(X, fm):
+    oracle = _hstack_oracle(fm)
+    assert type(X) is type(oracle) and X.shape == oracle.shape
+    for name in ("indptr", "indices", "data"):
+        got, want = getattr(X, name), getattr(oracle, name)
+        assert got.dtype == want.dtype, name
+        assert got.tobytes() == want.tobytes(), name
+
+
 _CELLS = st.sampled_from([0.0, -0.0, 1.0, -2.5, 0.125, 3e-300])
 _NONFINITE = st.sampled_from([math.nan, math.inf, -math.inf])
 
@@ -306,12 +315,7 @@ def test_stacked_matrix_equals_the_hstack_oracle(fm):
     elif fm.dense.shape[1] == 0:
         assert X is fm.tfidf
     else:
-        oracle = _hstack_oracle(fm)
-        assert type(X) is type(oracle) and X.shape == oracle.shape
-        for name in ("indptr", "indices", "data"):
-            got, want = getattr(X, name), getattr(oracle, name)
-            assert got.dtype == want.dtype, name
-            assert got.tobytes() == want.tobytes(), name
+        _same_as_hstack(X, fm)
     if X.shape[1] == 0:
         return
     model = _lr_of_width(X.shape[1])
@@ -320,6 +324,44 @@ def test_stacked_matrix_equals_the_hstack_oracle(fm):
     else:
         with pytest.raises(DataError, match="NaN or infinite"):
             M.predict_proba(model, X)
+
+
+def _tfidf_block(rows, width):
+    """A CSR block with the given rows of (column, value) pairs."""
+    indptr, indices, data = [0], [], []
+    for row in rows:
+        indices += [j for j, _ in row]
+        data += [v for _, v in row]
+        indptr.append(len(indices))
+    return sparse.csr_matrix((np.array(data, dtype=float), indices, indptr),
+                             shape=(len(rows), width))
+
+
+@pytest.mark.parametrize("dense, tfidf_rows", [
+    ([[0.0, 0.0, 0.0], [1.5, 0.0, -2.0], [0.0, 0.0, 0.0]],
+     [[(1, 0.5)], [], [(0, 0.25), (3, 1.0)]]),  # all-zero dense rows
+    ([[0.0, 0.0], [0.0, 0.0]], [[], [(2, 1.0)]]),  # no dense entry at all
+    ([[1.0, -0.0], [2.0, 3.0]], [[], []]),  # no TF-IDF entry at all
+    (np.empty((0, 3)), []),  # an empty batch
+], ids=["zero-dense-rows", "zero-dense", "zero-tfidf", "no-rows"])
+def test_stacked_matrix_cases(dense, tfidf_rows):
+    fm = FeatureMatrix(np.array(dense, dtype=float), _tfidf_block(tfidf_rows, 4), ())
+    X = matrix_for_family(fm)
+    _same_as_hstack(X, fm)
+    assert X.indices.dtype == np.int32
+
+
+@pytest.mark.parametrize("tfidf_width, idx", [
+    (2**31 - 3, np.int32), (2**31 - 2, np.int64), (2**31, np.int64)])
+def test_stacked_matrix_index_dtype_at_the_int32_limit(tfidf_width, idx):
+    """Stacked with 2 dense columns, a TF-IDF block about 2**31 columns
+    wide holds a few entries, so the index dtype rule is tested on the
+    shape without allocating anything large."""
+    fm = FeatureMatrix(np.array([[1.0, 0.0], [0.0, 0.0]]),
+                       _tfidf_block([[(5, 0.5)], [(tfidf_width - 1, 1.0)]], tfidf_width), ())
+    X = matrix_for_family(fm)
+    assert X.indices.dtype == X.indptr.dtype == idx
+    _same_as_hstack(X, fm)
 
 
 def test_one_text_builds_at_most_two_csr_matrices(
