@@ -158,14 +158,21 @@ def _parse_label(
 def _items_from_rows(
     rows: Iterable[tuple[str, ...]], require_complete: bool
 ) -> list[DatasetItem]:
+    """Rows of (row name, id, text, *stages) as items. Each distinct stage
+    tuple is parsed once, at the first row holding it, and every row with
+    that tuple shares its frozen label."""
     items = []
-    for row_name, cid, text, *stages in rows:
+    labels: dict[tuple[str, ...], HierLabel | None] = {}
+    for row in rows:
+        row_name, cid, text = row[:3]
         try:
             comment = Comment(cid, text)
         except DataError as exc:
             raise DataError(f"{row_name}: {exc}") from None
-        label = _parse_label(row_name, stages, require_complete)
-        items.append(DatasetItem(comment, label))
+        stages = row[3:]
+        if stages not in labels:
+            labels[stages] = _parse_label(row_name, stages, require_complete)
+        items.append(DatasetItem(comment, labels[stages]))
     return items
 
 

@@ -378,37 +378,40 @@ def _newton_state(X, y, classes, spec: ModelSpec, negative: float, problem, tol:
 # logistic regression
 
 
-def lr_objective_grad(w: np.ndarray, b: float, X, targets: np.ndarray, C: float):
-    """Mean cross-entropy plus ||w||^2 / (2 C n); returns (J, dJ/dw, dJ/db)."""
+def lr_objective_grad(w: np.ndarray, b: float, X, targets: np.ndarray, C: float, Xt=None):
+    """Mean cross-entropy plus ||w||^2 / (2 C n); returns (J, dJ/dw, dJ/db).
+    `Xt` is X.T, made here when not given."""
     n = len(targets)
     z = X @ w + b
     loss = float(np.mean(np.logaddexp(0.0, z) - targets * z)) + float(w @ w) / (2 * C * n)
     p = expit(z)
-    grad_w = X.T @ (p - targets) / n + w / (C * n)
+    grad_w = (X.T if Xt is None else Xt) @ (p - targets) / n + w / (C * n)
     grad_b = float(np.mean(p - targets))
     return loss, np.asarray(grad_w).ravel(), grad_b
 
 
-def _lr_hessian_product(X, D, C: float, v: np.ndarray) -> np.ndarray:
+def _lr_hessian_product(X, Xt, D, C: float, v: np.ndarray) -> np.ndarray:
     """H v for `lr_objective_grad`'s objective over (w, b), where D = p (1 - p)
     at the current point and the bias is the last, unregularized coordinate.
-    X.T is a transposed view: sparse input gets no transposed copy."""
+    `Xt` is X.T, a transposed view: sparse input gets no transposed copy."""
     n = X.shape[0]
     u = D * (X @ v[:-1] + v[-1])
-    return np.append(X.T @ u / n + v[:-1] / (C * n), u.sum() / n)
+    return np.append(Xt @ u / n + v[:-1] / (C * n), u.sum() / n)
 
 
 def _lr_problem(C: float, X, targets):
     """`lr_objective_grad`'s objective with gradient over theta = (w, b),
-    and its Hessian product."""
+    and its Hessian product. X.T is made once per machine, not once per
+    call."""
+    Xt = X.T
 
     def objective(theta):
-        loss, gw, gb = lr_objective_grad(theta[:-1], theta[-1], X, targets, C)
+        loss, gw, gb = lr_objective_grad(theta[:-1], theta[-1], X, targets, C, Xt)
         return loss, np.append(gw, gb)
 
     def hessian(theta):
         p = expit(X @ theta[:-1] + theta[-1])
-        return partial(_lr_hessian_product, X, p * (1.0 - p), C)
+        return partial(_lr_hessian_product, X, Xt, p * (1.0 - p), C)
 
     return objective, hessian
 

@@ -5,14 +5,19 @@ The pipeline order is fixed: emoji replacement, abbreviation expansion,
 lowercasing, tokenization on non-alphanumeric boundaries (apostrophes stay
 word-internal), stop-word removal, Porter stemming. Every stage can be
 switched off through PreprocessConfig.
+
+No stage after emoji replacement looks across whitespace, so each
+whitespace chunk of a text is worked once per config, through a bounded
+memo, and a text's tokens are its chunks' tokens in order.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from functools import partial
+from functools import lru_cache, partial
 from importlib import resources
+from itertools import chain
 from typing import Callable
 
 from .errors import DataError
@@ -21,8 +26,9 @@ from .util import open_input
 
 # word runs; apostrophes join alphanumeric runs into a single token
 _WORD_RE = re.compile(r"[^\W_]+(?:['’][^\W_]+)*", re.UNICODE)
-# non-whitespace runs containing no alphanumerics (kept when strip_punct off)
-_PUNCT_RE = re.compile(r"[^\w\s]+", re.UNICODE)
+# distinct whitespace chunks whose tokens a config keeps; a paper-scale
+# corpus of about 10k comments holds about 8k
+_CHUNK_MEMO = 1 << 14
 
 
 def _data_text(name: str) -> str:
@@ -156,10 +162,52 @@ def _abbrev_expander(abbrev_map: dict[str, str]) -> Callable[[str], str]:
     return partial(pattern.sub, lambda m: get(m.group(0).lower(), m.group(0)))
 
 
+def _chunk_tokenizer(
+    expand: Callable[[str], str],
+    lowercase: bool,
+    strip_punct: bool,
+    stopwords: frozenset[str] | None,
+    stem: bool,
+) -> Callable[[str], tuple[str, ...]]:
+    """One whitespace chunk's tokens, from `expand` through stemming,
+    memoized with a bound, since a corpus repeats its chunks. An expansion
+    may hold whitespace, so its pieces are split again. The stemmer is
+    looked up at call time, so it runs once per memo miss."""
+
+    @lru_cache(maxsize=_CHUNK_MEMO)
+    def tokens(chunk: str) -> tuple[str, ...]:
+        chunk = expand(chunk)
+        if lowercase:
+            chunk = chunk.lower()
+        if strip_punct:
+            toks = _WORD_RE.findall(chunk)
+        else:
+            toks = []
+            for piece in chunk.split():
+                pos = 0
+                for m in _WORD_RE.finditer(piece):
+                    if m.start() > pos:
+                        toks.append(piece[pos : m.start()])
+                    toks.append(m.group(0))
+                    pos = m.end()
+                if pos < len(piece):
+                    toks.append(piece[pos:])
+        if stopwords is not None:
+            toks = [t for t in toks if t not in stopwords]
+        if stem:
+            toks = [porter_stem(t) for t in toks]
+        return tuple(toks)
+
+    return tokens
+
+
 @dataclass(frozen=True)
 class PreprocessConfig:
     """Switches and resources for normalize(); immutable once built. The
-    emoji and abbreviation patterns are compiled once, at construction."""
+    emoji and abbreviation patterns and the chunk memo are built once, at
+    construction. Abbreviations expand per whitespace chunk, inside the
+    memo, unless a key holds whitespace: then they expand over the whole
+    text, before the split."""
 
     lowercase: bool = True
     strip_punct: bool = True
@@ -170,13 +218,29 @@ class PreprocessConfig:
     stopwords: frozenset[str] = frozenset()
     _replace_emoji: Callable[[str], str] = field(init=False, repr=False, compare=False)
     _expand_abbrev: Callable[[str], str] = field(init=False, repr=False, compare=False)
+    # the whole-text abbreviation pass: the expander or _unchanged
+    _expand_text: Callable[[str], str] = field(init=False, repr=False, compare=False)
+    _chunk_tokens: Callable[[str], tuple[str, ...]] = field(
+        init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         for name in ("emoji_map", "abbrev_map"):
             if "" in getattr(self, name):
                 raise ValueError(f"{name} has an empty symbol")
+        expand = _abbrev_expander(self.abbrev_map)
+        if any(c.isspace() for key in self.abbrev_map for c in key):
+            whole, per_chunk = expand, _unchanged
+        else:
+            whole, per_chunk = _unchanged, expand
         object.__setattr__(self, "_replace_emoji", _emoji_replacer(self.emoji_map))
-        object.__setattr__(self, "_expand_abbrev", _abbrev_expander(self.abbrev_map))
+        object.__setattr__(self, "_expand_abbrev", expand)
+        object.__setattr__(self, "_expand_text", whole)
+        # the memo captures the settings, never the config: no reference cycle
+        object.__setattr__(self, "_chunk_tokens", _chunk_tokenizer(
+            per_chunk, self.lowercase, self.strip_punct,
+            self.stopwords if self.remove_stopwords else None, self.stem,
+        ))
 
 
 # the PreprocessConfig settings an experiment config may switch on or off
@@ -207,28 +271,13 @@ def default_config(**overrides) -> PreprocessConfig:
 
 
 def normalize(text: str, cfg: PreprocessConfig) -> TokenStream:
-    """Run the full pipeline over one text; empty input yields an empty stream."""
-    original_len = len(text)
-    text = cfg._expand_abbrev(cfg._replace_emoji(text))
-    if cfg.lowercase:
-        text = text.lower()
-
-    tokens: list[str] = []
-    if cfg.strip_punct:
-        tokens = _WORD_RE.findall(text)
-    else:
-        for chunk in text.split():
-            pos = 0
-            for m in re.finditer(_WORD_RE, chunk):
-                if m.start() > pos:
-                    tokens.append(chunk[pos : m.start()])
-                tokens.append(m.group(0))
-                pos = m.end()
-            if pos < len(chunk):
-                tokens.append(chunk[pos:])
-
-    if cfg.remove_stopwords:
-        tokens = [t for t in tokens if t not in cfg.stopwords]
-    if cfg.stem:
-        tokens = [porter_stem(t) for t in tokens]
-    return TokenStream(tuple(tokens), original_len)
+    """Run the full pipeline over one text; empty input yields an empty
+    stream. Emoji (and abbreviation keys that hold whitespace) are replaced
+    over the whole text; each whitespace chunk of the result is then worked
+    through the config's memo. That gives the tokens of the whole-text
+    pipeline, because no abbreviation run or key without whitespace, no
+    `_WORD_RE` token and no `strip_punct: false` piece spans whitespace, and
+    `str.lower` looks across no whitespace character (tests/test_preprocess.py
+    checks the Unicode facts over every code point)."""
+    chunks = cfg._expand_text(cfg._replace_emoji(text)).split()
+    return TokenStream(tuple(chain.from_iterable(map(cfg._chunk_tokens, chunks))), len(text))

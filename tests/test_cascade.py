@@ -449,16 +449,22 @@ def test_cascade_bytes_equal_under_the_alternation_passes(tmp_path, monkeypatch)
     cfg = hier_config(tmp_path, "unused.csv")
     ours = canonical_json(cascade_to_envelope(train_cascade(ds, cfg)))
 
-    oracle_calls = []
+    emoji_calls, abbrev_calls = [], []
 
-    def traced(build):
+    def traced(build, calls):
         def wrapped(mapping):
             apply = build(mapping)
-            return lambda text: oracle_calls.append(text) or apply(text)
+            return lambda text: calls.append(text) or apply(text)
         return wrapped
 
-    monkeypatch.setattr(preprocess, "_emoji_replacer", traced(oracle_emoji_replacer))
-    monkeypatch.setattr(preprocess, "_abbrev_expander", traced(oracle_abbrev_expander))
+    monkeypatch.setattr(preprocess, "_emoji_replacer",
+                        traced(oracle_emoji_replacer, emoji_calls))
+    monkeypatch.setattr(preprocess, "_abbrev_expander",
+                        traced(oracle_abbrev_expander, abbrev_calls))
     oracle = canonical_json(cascade_to_envelope(train_cascade(ds, cfg)))
-    assert len(oracle_calls) == 2 * len(ds)
+    # emoji are replaced once per text, abbreviations expanded once per
+    # distinct whitespace chunk of the replaced texts
+    assert len(emoji_calls) == len(ds)
+    chunks = {c for t in ds.texts() for c in bundled._replace_emoji(t).split()}
+    assert sorted(abbrev_calls) == sorted(chunks)
     assert ours == oracle

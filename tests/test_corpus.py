@@ -111,6 +111,35 @@ class TestDatasetIO:
         with pytest.raises(DataError, match="3"):
             load_dataset(str(path))
 
+    def test_rows_with_one_stage_tuple_share_its_label(self, tmp_path):
+        path = tmp_path / "shared.csv"
+        path.write_text(
+            "id,text,support,target,group\n"
+            "a,one,SS,Group,Nation\n"
+            "b,two,NSS,,\n"
+            "c,three,SS,Group,Nation\n"
+            "d,four,,,\n"
+            "e,five,NSS,,\n"
+        )
+        a, b, c, d, e = (item.label for item in load_dataset(str(path)))
+        assert a is c and b is e and d is None
+        assert a == HierLabel("SS", "Group", "Nation")
+
+    def test_repeated_bad_stage_tuple_names_its_first_row(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text(
+            "id,text,support,target,group\n"
+            "a,fine,SS,,\n"
+            "b,broken,NSS,Individual,\n"
+            "c,broken,NSS,Individual,\n"
+        )
+        with pytest.raises(DataError) as err:
+            load_dataset(str(path))
+        assert str(err.value) == (
+            f"{path}: row 3: target label 'Individual' requires support=SS, got 'NSS'")
+        with pytest.raises(DataError, match=r"row 2: incomplete label"):
+            load_dataset(str(path), require_complete=True)
+
     def test_duplicate_ids_rejected(self):
         with pytest.raises(DataError):
             Dataset((_item(1, "NSS"), _item(1, "NSS")))

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import sparse
+from scipy.special import expit
 
 from ssd import models as M
 from ssd.errors import DataError, FormatError, UsageError
@@ -235,7 +236,7 @@ class TestNewtonSolver:
             theta = rng.normal(size=d + 1)
             p = 1.0 / (1.0 + np.exp(-(X @ theta[:-1] + theta[-1])))
             v = rng.normal(size=d + 1)
-            Hv = M._lr_hessian_product(X, p * (1.0 - p), C, v)
+            Hv = M._lr_hessian_product(X, X.T, p * (1.0 - p), C, v)
 
             def grad(th):
                 _, gw, gb = lr_objective_grad(th[:-1], th[-1], X, t, C)
@@ -245,6 +246,37 @@ class TestNewtonSolver:
             fd = (grad(theta + eps * v) - grad(theta - eps * v)) / (2 * eps)
             worst = max(worst, float(np.max(np.abs(fd - Hv))) / max(1.0, float(np.max(np.abs(fd)))))
         assert worst < 1e-7
+
+    @pytest.mark.parametrize("layout", ["dense", "csr"])
+    def test_lr_fit_equals_a_fit_that_transposes_on_every_call(self, layout):
+        """X.T made once per machine gives the W, b and loss traces of a fit
+        whose objective and Hessian products each make their own."""
+        rng = derive_rng(52, "transpose")
+        X = rng.normal(size=(60, 7)) * (rng.random((60, 7)) < 0.5)
+        X = sparse.csr_matrix(X) if layout == "csr" else X
+        y = [str(v) for v in rng.integers(0, 3, size=60)]
+        spec = make_spec("lr", seed=0)
+        state = train_lr(X, y, spec).state
+
+        def per_call(targets):
+            C = spec.hyper("C")
+
+            def objective(theta):
+                loss, gw, gb = lr_objective_grad(theta[:-1], theta[-1], X, targets, C)
+                return loss, np.append(gw, gb)
+
+            def hessian(theta):
+                p = expit(X @ theta[:-1] + theta[-1])
+                return lambda v: M._lr_hessian_product(X, X.T, p * (1.0 - p), C, v)
+
+            return M._newton_fit(objective, hessian, X.shape[1] + 1, spec.hyper("max_iter"),
+                                 spec.hyper("tol"), "lr")
+
+        machines, present = M._one_vs_rest(y, sorted(set(y)), 0.0, per_call)
+        oracle = M._linear_state(machines, present, X.shape[1])
+        assert np.asarray(state["W"]).tobytes() == oracle["W"].tobytes()
+        assert state["b"].tobytes() == oracle["b"].tobytes()
+        assert state["loss_traces"] == oracle["loss_traces"]
 
     @pytest.mark.parametrize("layout", ["dense", "csr"])
     def test_squared_hinge_hessian_product_matches_central_differences(self, layout):

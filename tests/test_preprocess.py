@@ -312,3 +312,106 @@ def test_non_word_keys_keep_the_alternation_rule():
 def test_empty_symbol_rejected(field):
     with pytest.raises(ValueError, match="empty symbol"):
         PreprocessConfig(**{field: {"": "nothing"}})
+
+
+# ---------------------------------------------------------------------------
+# the chunk memo: each whitespace chunk worked once per config, with the
+# tokens of the whole-text pipeline
+
+# keys that hold whitespace make abbreviations expand over the whole text
+_WHITESPACE_KEYS = ("o k", "g\tn", "b\xa0r")
+_SPACES = (" ", "  ", "\t", "\n", "\x1c", "\xa0", "　", " \t ")
+_STOPWORDS = frozenset({"you", "are", "ok", "the", "with"})
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_chunk_memo_matches_the_whole_text_oracle(data):
+    emoji = data.draw(_maps(_EMOJI_SYMBOLS))
+    abbrev = data.draw(st.one_of(_maps(_RUN_KEYS), _maps(_ABBREV_KEYS),
+                                 _maps(_ABBREV_KEYS + _WHITESPACE_KEYS)))
+    switches = data.draw(st.fixed_dictionaries(
+        {name: st.booleans() for name in PREPROCESS_SWITCHES}))
+    cfg = PreprocessConfig(emoji_map=emoji, abbrev_map=abbrev, stopwords=_STOPWORDS,
+                           **switches)
+    # a few words drawn again and again, so chunks repeat within and across
+    # texts; capital sigmas next to whitespace test lowercasing's context
+    words = data.draw(st.lists(st.one_of(
+        _cases(sorted(emoji) + sorted(abbrev) or ["ok"]),
+        _cases(_EMOJI_SYMBOLS + _ABBREV_KEYS + _WHITESPACE_KEYS),
+        _SEPARATORS,
+        st.sampled_from(["ΑΣ", "Σ", "ΣΑ", "Running", "THE", "caresses", "!!", "..."]),
+        st.text(alphabet="uUrRoOkK'’ _/:)<3❤️Σ!", max_size=5),
+    ), min_size=1, max_size=6))
+    pieces = st.one_of(st.sampled_from(words), st.sampled_from(_SPACES))
+    texts = data.draw(st.lists(st.lists(pieces, max_size=14).map("".join),
+                               min_size=1, max_size=3))
+    try:
+        oracle = [_oracle_normalize(t, cfg) for t in texts]
+    except KeyError:
+        return  # the alternation matched a run whose .lower() is no key
+    assert cfg._chunk_tokens.cache_info().currsize == 0
+    for _ in range(2):  # a cold memo, then a warm one
+        got = [normalize(t, cfg) for t in texts]
+        assert [(ts.tokens, ts.original_length_chars) for ts in got] == oracle
+
+
+def test_whitespace_is_its_own_case_and_bounds_case_context():
+    """Why a text's tokens are its whitespace chunks' tokens: `str.split()`
+    splits exactly at `str.isspace()` characters; a whitespace character
+    lowercases to itself, no other character lowercases to anything that
+    holds whitespace, and case-insensitive matching pairs no whitespace
+    character with another character; no whitespace character is a word or
+    run character; and none is cased or case-ignorable, so the final-sigma
+    rule of `str.lower` never looks across one."""
+    import re
+    import sys
+
+    chars = [chr(cp) for cp in range(sys.maxunicode + 1)]
+    spaces = [c for c in chars if c.isspace()]
+    space_class = re.compile("[" + "".join(map(re.escape, spaces)) + "]", re.IGNORECASE)
+    run = re.compile(r"[\w'’]")
+    for c in chars:
+        assert len(("a" + c + "b").split()) == (2 if c.isspace() else 1), hex(ord(c))
+        if c.isspace():
+            assert c.lower() == c and not run.match(c), hex(ord(c))
+            # the sigma after c has no cased letter before it; the one before
+            # c has none after it
+            assert ("A" + c + "Σ").lower()[-1] == "σ", hex(ord(c))
+            assert ("AΣ" + c + "B").lower()[1] == "ς", hex(ord(c))
+        else:
+            assert not any(low.isspace() for low in c.lower()), hex(ord(c))
+            assert not space_class.fullmatch(c), hex(ord(c))
+    # the other way round: no whitespace character matches any other character
+    bounds = [-1] + [ord(c) for c in spaces] + [sys.maxunicode + 1]
+    others = re.compile("[" + "".join(
+        f"{re.escape(chr(a + 1))}-{re.escape(chr(b - 1))}"
+        for a, b in zip(bounds, bounds[1:]) if b - a > 1) + "]", re.IGNORECASE)
+    for c in spaces:
+        assert not others.fullmatch(c), hex(ord(c))
+
+
+def test_chunk_memo_is_bounded():
+    cfg = PreprocessConfig(remove_stopwords=False, stem=False)
+    info = cfg._chunk_tokens.cache_info()
+    assert info.maxsize is not None and info.maxsize > 0
+    normalize(" ".join(f"w{i}" for i in range(info.maxsize + 10)), cfg)
+    assert cfg._chunk_tokens.cache_info().currsize == info.maxsize
+
+
+@pytest.mark.parametrize("abbrev", [{"u": "you"}, {"o k": "okay"}])
+def test_config_is_freed_by_refcount_alone(abbrev):
+    import gc
+    import weakref
+
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        cfg = default_config(abbrev_map=abbrev)
+        normalize("Stay STRONG u o k 💪 😂", cfg)
+        ref = weakref.ref(cfg)
+        del cfg
+        assert ref() is None
+    finally:
+        if enabled:
+            gc.enable()
