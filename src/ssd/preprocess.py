@@ -217,7 +217,6 @@ class PreprocessConfig:
     abbrev_map: dict[str, str] = field(default_factory=dict)
     stopwords: frozenset[str] = frozenset()
     _replace_emoji: Callable[[str], str] = field(init=False, repr=False, compare=False)
-    _expand_abbrev: Callable[[str], str] = field(init=False, repr=False, compare=False)
     # the whole-text abbreviation pass: the expander or _unchanged
     _expand_text: Callable[[str], str] = field(init=False, repr=False, compare=False)
     _chunk_tokens: Callable[[str], tuple[str, ...]] = field(
@@ -229,12 +228,14 @@ class PreprocessConfig:
             if "" in getattr(self, name):
                 raise ValueError(f"{name} has an empty symbol")
         expand = _abbrev_expander(self.abbrev_map)
+        # inside the memo, expansion runs once per distinct chunk rather than
+        # once per text; a key that holds whitespace matches only over the
+        # whole text
         if any(c.isspace() for key in self.abbrev_map for c in key):
             whole, per_chunk = expand, _unchanged
         else:
             whole, per_chunk = _unchanged, expand
         object.__setattr__(self, "_replace_emoji", _emoji_replacer(self.emoji_map))
-        object.__setattr__(self, "_expand_abbrev", expand)
         object.__setattr__(self, "_expand_text", whole)
         # the memo captures the settings, never the config: no reference cycle
         object.__setattr__(self, "_chunk_tokens", _chunk_tokenizer(

@@ -9,10 +9,8 @@ makes learned accuracy a property of the implementation, not of luck.
 from __future__ import annotations
 
 import json
-import os
 
 import pytest
-from hypothesis import settings
 
 from ssd.corpus import Comment, Dataset, DatasetItem, HierLabel, write_dataset
 from ssd.util import derive_rng
@@ -41,11 +39,6 @@ GROUP_FLAVOR = {
     "Other": ("planet", "animals", "veterans", "farmers"),
 }
 GROUP_NAMES = tuple(GROUP_FLAVOR)
-
-# HYPOTHESIS_PROFILE=ci prints, with each failing draw, the blob that
-# @reproduce_failure replays, so a draw found in CI can become a direct test
-settings.register_profile("ci", print_blob=True)
-settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 
 def make_support_corpus(

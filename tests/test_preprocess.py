@@ -11,6 +11,7 @@ from ssd.errors import DataError
 from ssd.preprocess import (
     PREPROCESS_SWITCHES,
     PreprocessConfig,
+    _abbrev_expander,
     default_config,
     load_stopwords,
     load_tsv_map,
@@ -263,7 +264,7 @@ def test_passes_match_the_alternation_oracle_on_generated_maps(data):
         oracle = _oracle_normalize(text, cfg)
     except KeyError:
         return  # the alternation matched a run whose .lower() is no key
-    assert cfg._expand_abbrev(replaced) == expanded
+    assert _abbrev_expander(abbrev)(replaced) == expanded
     ts = normalize(text, cfg)
     assert (ts.tokens, ts.original_length_chars) == oracle
 
@@ -296,16 +297,15 @@ def test_case_folded_run_that_is_no_key_stays_unexpanded():
     # IGNORECASE matches "plſ" to "pls" and "İdk" to "idk", but neither
     # lowercases to a key
     cfg = default_config(remove_stopwords=False, stem=False)
-    assert cfg._expand_abbrev("plſ help İdk") == "plſ help İdk"
+    assert _abbrev_expander(cfg.abbrev_map)("plſ help İdk") == "plſ help İdk"
     assert normalize("PLS help", cfg).tokens == ("please", "help")
     with pytest.raises(KeyError):
         oracle_abbrev_expander(cfg.abbrev_map)("plſ help")
 
 
 def test_non_word_keys_keep_the_alternation_rule():
-    cfg = PreprocessConfig(abbrev_map={"w/": "with", "u": "you", "<3": "love"},
-                           remove_stopwords=False, stem=False)
-    assert cfg._expand_abbrev("W/ u <3 w/o") == "with you love w/o"
+    expand = _abbrev_expander({"w/": "with", "u": "you", "<3": "love"})
+    assert expand("W/ u <3 w/o") == "with you love w/o"
 
 
 @pytest.mark.parametrize("field", ["emoji_map", "abbrev_map"])
