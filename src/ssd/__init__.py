@@ -75,14 +75,12 @@ from .models import (
     ModelSpec,
     TrainedModel,
     VotingModel,
-    hard_vote,
     load_model,
     make_spec,
     make_voting,
     predict,
     predict_proba,
     save_model,
-    soft_vote,
     train_dt,
     train_lr,
     train_rf,
@@ -100,6 +98,6 @@ from .pipeline import (
     save_pipeline,
 )
 from .porter import stem
-from .preprocess import PreprocessConfig, TokenStream, default_config, normalize
+from .preprocess import PreprocessConfig, default_config, normalize
 
 __version__ = "0.1.0"

@@ -39,7 +39,7 @@ class CascadeModel:
     config and one feature list. All three are checked once, at
     construction: the stages' lexicons against the recorded fingerprints,
     so prediction never re-hashes them, and each stage's preprocess config
-    and features against stage 1's, so one token stream and one set of
+    and features against stage 1's, so one token tuple and one set of
     lexicon rows per text serve every stage."""
 
     stage1: FittedPipeline

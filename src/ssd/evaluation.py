@@ -499,13 +499,13 @@ def profile_features(
     labels = view.labels(subtask)
     classes = class_order(labels, subtask)
     pc = pcfg if pcfg is not None else default_config()
-    streams = [normalize(t, pc) for t in view.texts()]
+    tokens = [normalize(t, pc) for t in view.texts()]
     groups = {c: [i for i, y in enumerate(labels) if y == c] for c in classes}
 
     columns = {block: row.columns(lex) for block, row, lex in lexicons.present()}
     blocks = {
         block: (columns[block], np.vstack([rows[groups[c]].mean(axis=0) for c in classes]))
-        for block, rows in extract_dense_blocks(streams, list(columns), lexicons)
+        for block, rows in extract_dense_blocks(tokens, list(columns), lexicons)
     }
     return ProfileReport(
         subtask=subtask,

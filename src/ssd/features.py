@@ -1,4 +1,4 @@
-"""Feature extraction over token streams.
+"""Feature extraction over token sequences.
 
 Four blocks: category-dictionary percentages (word count first), raw counts
 for eight emotions, rule-based (neg, neu, pos) sentiment proportions, and
@@ -22,7 +22,6 @@ import numpy as np
 from scipy import sparse
 
 from .errors import DataError, FormatError, UsageError
-from .preprocess import TokenStream
 from .util import open_input
 
 EMOTIONS = (
@@ -149,14 +148,14 @@ def load_category_lexicon(path: str) -> CategoryLexicon:
     )
 
 
-def liwc_features(ts: TokenStream, lex: CategoryLexicon) -> np.ndarray:
+def liwc_features(tokens: Sequence[str], lex: CategoryLexicon) -> np.ndarray:
     """Word count followed by percent-of-tokens scores per category."""
     counts = [0] * len(lex.categories)
     hits = lex._hits
-    for tok in ts.tokens:
+    for tok in tokens:
         for i in hits(tok):
             counts[i] += 1
-    n = len(ts.tokens)
+    n = len(tokens)
     denom = max(1, n)
     return np.array([float(n)] + [100.0 * c / denom for c in counts])
 
@@ -196,11 +195,11 @@ def load_emotion_lexicon(path: str) -> EmotionLexicon:
 _EMOTION_INDEX = {e: i for i, e in enumerate(EMOTIONS)}
 
 
-def emotion_features(ts: TokenStream, lex: EmotionLexicon) -> np.ndarray:
+def emotion_features(tokens: Sequence[str], lex: EmotionLexicon) -> np.ndarray:
     """Raw per-emotion token counts in EMOTIONS order."""
     counts = [0] * len(EMOTIONS)
     entries = lex.entries
-    for tok in ts.tokens:
+    for tok in tokens:
         emotions = entries.get(tok)
         if emotions:
             for emotion in emotions:
@@ -289,8 +288,10 @@ def load_valence_lexicon(
     return ValenceLexicon(entries, negators, boosters)
 
 
-def sentiment_scores(ts: TokenStream, lex: ValenceLexicon) -> tuple[float, float, float]:
-    """(neg, neu, pos) proportions; an empty or valence-free stream scores
+def sentiment_scores(
+    tokens: Sequence[str], lex: ValenceLexicon
+) -> tuple[float, float, float]:
+    """(neg, neu, pos) proportions; an empty or valence-free text scores
     fully neutral. A valence word takes the increment of a booster just
     before it, in the direction of its sign, then the negation factor when
     a negator is among the three tokens before it."""
@@ -299,7 +300,7 @@ def sentiment_scores(ts: TokenStream, lex: ValenceLexicon) -> tuple[float, float
     neutral = 0
     last_negator = -4  # the latest negator's position; -4 is none in reach
     prev = None
-    for i, tok in enumerate(ts.tokens):
+    for i, tok in enumerate(tokens):
         if tok in negators:
             last_negator = i
         elif tok not in boosters:
@@ -347,7 +348,7 @@ TFIDF_DEFAULTS = {"min_df": 2, "max_features": 20000}
 
 
 def fit_tfidf(
-    corpus: Sequence[TokenStream],
+    corpus: Sequence[Sequence[str]],
     min_df: int = TFIDF_DEFAULTS["min_df"],
     max_features: int = TFIDF_DEFAULTS["max_features"],
 ) -> TfidfVectorizer:
@@ -358,7 +359,7 @@ def fit_tfidf(
         raise DataError("cannot fit TF-IDF on an empty corpus")
     if min_df < 1 or max_features < 1:
         raise UsageError("min_df and max_features must be >= 1")
-    df = Counter(tok for ts in corpus for tok in set(ts.tokens))
+    df = Counter(tok for tokens in corpus for tok in set(tokens))
     kept = [t for t, c in df.items() if c >= min_df]
     if not kept:
         raise DataError(f"no token reaches min_df={min_df}; vocabulary is empty")
@@ -383,7 +384,7 @@ def index_dtype(*bounds: int) -> type:
 
 
 def transform_tfidf_corpus(
-    v: TfidfVectorizer, streams: Iterable[TokenStream]
+    v: TfidfVectorizer, corpus: Iterable[Sequence[str]]
 ) -> sparse.csr_matrix:
     """Count x idf per document, L2-normalized; all-zero rows stay zero.
     A row's norm is `math.sqrt(a.dot(a))` of its own entries, as
@@ -396,9 +397,9 @@ def transform_tfidf_corpus(
     indptr = [0]
     indices: list[int] = []
     values = array("d")  # 8 bytes an entry, where a list of floats holds 32
-    for ts in streams:
+    for tokens in corpus:
         counts: dict[int, int] = {}
-        for tok in ts.tokens:
+        for tok in tokens:
             j = vocabulary.get(tok)
             if j is not None:
                 counts[j] = counts.get(j, 0) + 1
@@ -419,8 +420,8 @@ def transform_tfidf_corpus(
     )
 
 
-def transform_tfidf(v: TfidfVectorizer, ts: TokenStream) -> sparse.csr_matrix:
-    return transform_tfidf_corpus(v, [ts])
+def transform_tfidf(v: TfidfVectorizer, tokens: Sequence[str]) -> sparse.csr_matrix:
+    return transform_tfidf_corpus(v, [tokens])
 
 
 # ---------------------------------------------------------------------------

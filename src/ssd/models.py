@@ -91,8 +91,9 @@ _MIN_SPLIT = Rule("an integer >= 2", lambda v: _AT_LEAST_ONE.admits(v) and v >= 
 _GAMMA = Rule("'scale' or a positive number", lambda v: v == "scale" or _POSITIVE.admits(v))
 _BOOL = Rule("true or false", lambda v: isinstance(v, bool))
 # rows x columns a dense family may densify, and rows x rows of svm_rbf's
-# training kernel: 800 MB of float64, enough for the paper's setting of
-# ~10k comments with up to ~10k TF-IDF columns
+# training kernel, which is built in one buffer of that size: 800 MB of
+# float64, enough for the paper's setting of ~10k comments with up to ~10k
+# TF-IDF columns
 _DENSIFY_BUDGET = (100_000_000, _AT_LEAST_ONE)
 
 
@@ -478,14 +479,16 @@ def _svm_linear_state(X, y, classes, spec: ModelSpec) -> dict:
 
 def _rbf_kernel(A: np.ndarray, B: np.ndarray, gamma: float) -> np.ndarray:
     """exp(-gamma * |a - b|^2) for every row a of A and b of B, computed as
-    `exp(-gamma * max(|a|^2 + |b|^2 - 2 a.b, 0))` in two len(A) x len(B)
-    buffers, with no other temporary of that size."""
-    cross = 2.0 * A @ B.T
-    sq = np.add(np.sum(A * A, axis=1)[:, None], np.sum(B * B, axis=1)[None, :])
-    np.subtract(sq, cross, out=sq)
-    np.maximum(sq, 0.0, out=sq)
-    np.multiply(sq, -gamma, out=sq)
-    return np.exp(sq, out=sq)
+    `exp(-gamma * max(|a|^2 + |b|^2 - 2 a.b, 0))` in one len(A) x len(B)
+    buffer: each row of the products is overwritten with its squared
+    distances, so no other temporary is larger than one row."""
+    K = 2.0 * A @ B.T
+    b_sq = np.sum(B * B, axis=1)
+    for a_sq, row in zip(np.sum(A * A, axis=1), K):
+        np.subtract(a_sq + b_sq, row, out=row)
+    np.maximum(K, 0.0, out=K)
+    np.multiply(K, -gamma, out=K)
+    return np.exp(K, out=K)
 
 
 def resolve_gamma(gamma, X: np.ndarray) -> float:
@@ -1053,16 +1056,6 @@ def vote_proba(vm: VotingModel, member_probas: Sequence[np.ndarray]) -> np.ndarr
 
 def _voting_proba(vm: VotingModel, X) -> np.ndarray:
     return vote_proba(vm, [predict_proba(m, X) for m in vm.members])
-
-
-def soft_vote(models: Sequence, X) -> tuple[list[str], np.ndarray]:
-    vm = make_voting("soft", models)
-    proba = predict_proba(vm, X)
-    return [vm.classes[i] for i in np.argmax(proba, axis=1)], proba
-
-
-def hard_vote(models: Sequence, X) -> list[str]:
-    return predict(make_voting("hard", models), X)
 
 
 # ---------------------------------------------------------------------------

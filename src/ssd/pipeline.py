@@ -48,7 +48,6 @@ from .features import (
 from .preprocess import (
     PREPROCESS_SWITCHES,
     PreprocessConfig,
-    TokenStream,
     default_config,
     normalize,
 )
@@ -324,7 +323,7 @@ def preprocess_config(cfg: ExperimentConfig) -> PreprocessConfig:
 
 
 def extract_dense_blocks(
-    streams: Sequence[TokenStream], features: Sequence[str], lex: LexiconSet
+    corpus: Sequence[Sequence[str]], features: Sequence[str], lex: LexiconSet
 ) -> list[tuple[str, np.ndarray]]:
     blocks: list[tuple[str, np.ndarray]] = []
     for block, row in LEXICON_BLOCKS.items():
@@ -332,9 +331,9 @@ def extract_dense_blocks(
             lexicon = getattr(lex, row.key)
             # looked up at call time, since perfbench/spans.py wraps this name here
             extract = globals()[row.extractor]
-            rows = np.array([extract(ts, lexicon) for ts in streams], dtype=float)
+            rows = np.array([extract(tokens, lexicon) for tokens in corpus], dtype=float)
             width = len(row.columns(lexicon))
-            blocks.append((block, rows.reshape(len(streams), width)))
+            blocks.append((block, rows.reshape(len(corpus), width)))
     return blocks
 
 
@@ -402,11 +401,11 @@ class TextBatch:
     stages of a cascade and the folds of `cv` take their rows of one batch,
     so each text is normalized and featurized once per call."""
 
-    streams: Sequence[TokenStream]
+    tokens: Sequence[tuple[str, ...]]  # each text's normalize() result
     blocks: list[tuple[str, np.ndarray]]  # extract_dense_blocks' result
 
     def __len__(self) -> int:
-        return len(self.streams)
+        return len(self.tokens)
 
     def take(self, rows: Sequence[int]) -> TextBatch:
         """The batch of the texts at positions `rows`, in that order; every
@@ -414,7 +413,7 @@ class TextBatch:
         if list(rows) == list(range(len(self))):
             return self
         return TextBatch(
-            [self.streams[i] for i in rows],
+            [self.tokens[i] for i in rows],
             [(block, matrix[rows]) for block, matrix in self.blocks],
         )
 
@@ -431,8 +430,8 @@ def text_batch(
     in this module.)"""
     if isinstance(texts, TextBatch):
         return texts
-    streams = [normalize(t, pc) for t in texts]
-    return TextBatch(streams, extract_dense_blocks(streams, features, lex))
+    tokens = [normalize(t, pc) for t in texts]
+    return TextBatch(tokens, extract_dense_blocks(tokens, features, lex))
 
 
 def _feature_matrix(
@@ -443,7 +442,7 @@ def _feature_matrix(
 ) -> FeatureMatrix:
     blocks = list(batch.blocks)
     if tfidf is not None:
-        blocks.append(("tfidf", transform_tfidf_corpus(tfidf, batch.streams)))
+        blocks.append(("tfidf", transform_tfidf_corpus(tfidf, batch.tokens)))
     return combine_features(blocks, scaling=scaling, fit_stats=scaler)
 
 
@@ -454,7 +453,7 @@ def fit_features(
     with the training matrix."""
     tfidf = None
     if "tfidf" in cfg.features:
-        tfidf = fit_tfidf(batch.streams, **cfg.tfidf_params)
+        tfidf = fit_tfidf(batch.tokens, **cfg.tfidf_params)
     scaler = None
     if cfg.scaling == "zscore":
         dense = (

@@ -6,9 +6,10 @@ lowercasing, tokenization on non-alphanumeric boundaries (apostrophes stay
 word-internal), stop-word removal, Porter stemming. Every stage can be
 switched off through PreprocessConfig.
 
-No stage after emoji replacement looks across whitespace, so each
-whitespace chunk of a text is worked once per config, through a bounded
-memo, and a text's tokens are its chunks' tokens in order.
+No stage looks across whitespace unless an emoji symbol or abbreviation
+key holds some, so each whitespace chunk of a raw text is worked once per
+config, through a bounded memo, and a text's tokens are its chunks' tokens
+in order.
 """
 
 from __future__ import annotations
@@ -26,8 +27,8 @@ from .util import open_input
 
 # word runs; apostrophes join alphanumeric runs into a single token
 _WORD_RE = re.compile(r"[^\W_]+(?:['’][^\W_]+)*", re.UNICODE)
-# distinct whitespace chunks whose tokens a config keeps; a paper-scale
-# corpus of about 10k comments holds about 8k
+# distinct raw whitespace chunks whose tokens a config keeps; a paper-scale
+# corpus of about 10k comments holds about 10.7k
 _CHUNK_MEMO = 1 << 14
 
 
@@ -82,53 +83,23 @@ def _unchanged(text: str) -> str:
 # maximal runs of word characters and apostrophes: an abbreviation's bounds
 # (captured, so that split() keeps the runs at the odd places)
 _RUN_RE = re.compile(r"([\w'’]+)")
-# first characters closer than this share one range of the emoji scan class
-_RANGE_GAP = 1024
-
-
-def _range_class(chars: set[str]) -> re.Pattern:
-    """A character class over `chars`, widened to a few code-point ranges:
-    sre scans a short range class fast, where a class of a hundred astral
-    code points costs about as much as the full alternation."""
-    spans: list[list[int]] = []
-    for cp in sorted(map(ord, chars)):
-        if spans and cp - spans[-1][1] < _RANGE_GAP:
-            spans[-1][1] = cp
-        else:
-            spans.append([cp, cp])
-    return re.compile(
-        "[" + "".join(f"{re.escape(chr(a))}-{re.escape(chr(b))}" for a, b in spans) + "]"
-    )
 
 
 def _emoji_replacer(emoji_map: dict[str, str]) -> Callable[[str], str]:
-    """`pattern.sub` of the longest-symbol-first alternation, replayed only
-    where the range class finds a possible first character."""
+    """`pattern.sub` of the longest-symbol-first alternation, skipped where
+    no symbol's first character occurs."""
     if not emoji_map:
         return _unchanged
     # longest symbol first so multi-codepoint sequences win over their prefixes
     pattern = re.compile(
         "|".join(re.escape(s) for s in sorted(emoji_map, key=len, reverse=True))
     )
-    starts = _range_class({s[0] for s in emoji_map})
+    firsts = frozenset(s[0] for s in emoji_map)
 
     def replace(text: str) -> str:
-        found = starts.search(text)
-        if found is None:
+        if firsts.isdisjoint(text):
             return text
-        out: list[str] = []
-        pos = 0
-        while found is not None:
-            at = found.start()
-            hit = pattern.match(text, at)
-            if hit is None:
-                found = starts.search(text, at + 1)
-                continue
-            out += (text[pos:at], f" {emoji_map[hit.group(0)]} ")
-            pos = hit.end()
-            found = starts.search(text, pos)
-        out.append(text[pos:])
-        return "".join(out)
+        return pattern.sub(lambda m: f" {emoji_map[m.group(0)]} ", text)
 
     return replace
 
@@ -169,8 +140,9 @@ def _chunk_tokenizer(
     stopwords: frozenset[str] | None,
     stem: bool,
 ) -> Callable[[str], tuple[str, ...]]:
-    """One whitespace chunk's tokens, from `expand` through stemming,
-    memoized with a bound, since a corpus repeats its chunks. An expansion
+    """One whitespace chunk's tokens, from `expand` (the emoji and
+    abbreviation passes, or `_unchanged`) through stemming, memoized with a
+    bound, since a corpus repeats its chunks. An emoji phrase or expansion
     may hold whitespace, so its pieces are split again. The stemmer is
     looked up at call time, so it runs once per memo miss."""
 
@@ -205,9 +177,9 @@ def _chunk_tokenizer(
 class PreprocessConfig:
     """Switches and resources for normalize(); immutable once built. The
     emoji and abbreviation patterns and the chunk memo are built once, at
-    construction. Abbreviations expand per whitespace chunk, inside the
-    memo, unless a key holds whitespace: then they expand over the whole
-    text, before the split."""
+    construction. Emoji, then abbreviations, are replaced per whitespace
+    chunk, inside the memo, unless a symbol of either map holds whitespace:
+    then both are replaced over the whole text, before the split."""
 
     lowercase: bool = True
     strip_punct: bool = True
@@ -216,8 +188,7 @@ class PreprocessConfig:
     emoji_map: dict[str, str] = field(default_factory=dict)
     abbrev_map: dict[str, str] = field(default_factory=dict)
     stopwords: frozenset[str] = frozenset()
-    _replace_emoji: Callable[[str], str] = field(init=False, repr=False, compare=False)
-    # the whole-text abbreviation pass: the expander or _unchanged
+    # the whole-text emoji and abbreviation passes, or _unchanged
     _expand_text: Callable[[str], str] = field(init=False, repr=False, compare=False)
     _chunk_tokens: Callable[[str], tuple[str, ...]] = field(
         init=False, repr=False, compare=False
@@ -227,15 +198,19 @@ class PreprocessConfig:
         for name in ("emoji_map", "abbrev_map"):
             if "" in getattr(self, name):
                 raise ValueError(f"{name} has an empty symbol")
-        expand = _abbrev_expander(self.abbrev_map)
-        # inside the memo, expansion runs once per distinct chunk rather than
-        # once per text; a key that holds whitespace matches only over the
-        # whole text
-        if any(c.isspace() for key in self.abbrev_map for c in key):
-            whole, per_chunk = expand, _unchanged
+        replace = _emoji_replacer(self.emoji_map)
+        abbrev = _abbrev_expander(self.abbrev_map)
+
+        def passes(text: str) -> str:
+            return abbrev(replace(text))
+
+        # inside the memo, both passes run once per distinct chunk rather
+        # than once per text; a symbol that holds whitespace matches only
+        # over the whole text
+        if any(c.isspace() for key in chain(self.emoji_map, self.abbrev_map) for c in key):
+            whole, per_chunk = passes, _unchanged
         else:
-            whole, per_chunk = _unchanged, expand
-        object.__setattr__(self, "_replace_emoji", _emoji_replacer(self.emoji_map))
+            whole, per_chunk = _unchanged, passes
         object.__setattr__(self, "_expand_text", whole)
         # the memo captures the settings, never the config: no reference cycle
         object.__setattr__(self, "_chunk_tokens", _chunk_tokenizer(
@@ -246,18 +221,6 @@ class PreprocessConfig:
 
 # the PreprocessConfig settings an experiment config may switch on or off
 PREPROCESS_SWITCHES = ("lowercase", "strip_punct", "remove_stopwords", "stem")
-
-
-@dataclass(frozen=True)
-class TokenStream:
-    tokens: tuple[str, ...]
-    original_length_chars: int
-
-    def __iter__(self):
-        return iter(self.tokens)
-
-    def __len__(self) -> int:
-        return len(self.tokens)
 
 
 def default_config(**overrides) -> PreprocessConfig:
@@ -271,14 +234,15 @@ def default_config(**overrides) -> PreprocessConfig:
     return PreprocessConfig(**base)
 
 
-def normalize(text: str, cfg: PreprocessConfig) -> TokenStream:
-    """Run the full pipeline over one text; empty input yields an empty
-    stream. Emoji (and abbreviation keys that hold whitespace) are replaced
-    over the whole text; each whitespace chunk of the result is then worked
-    through the config's memo. That gives the tokens of the whole-text
-    pipeline, because no abbreviation run or key without whitespace, no
-    `_WORD_RE` token and no `strip_punct: false` piece spans whitespace, and
-    `str.lower` looks across no whitespace character (tests/test_preprocess.py
-    checks the Unicode facts over every code point)."""
-    chunks = cfg._expand_text(cfg._replace_emoji(text)).split()
-    return TokenStream(tuple(chain.from_iterable(map(cfg._chunk_tokens, chunks))), len(text))
+def normalize(text: str, cfg: PreprocessConfig) -> tuple[str, ...]:
+    """The tokens of one text, run through the full pipeline; empty input
+    yields none. Each whitespace chunk of the raw text is worked through
+    the config's memo, emoji and abbreviations included, unless a symbol
+    holds whitespace: then those two passes run over the whole text first.
+    That gives the tokens of the whole-text pipeline, because no emoji
+    match, abbreviation run, key without whitespace, `_WORD_RE` token or
+    `strip_punct: false` piece spans whitespace, and `str.lower` looks
+    across no whitespace character (tests/test_preprocess.py checks the
+    Unicode facts over every code point)."""
+    chunks = cfg._expand_text(text).split()
+    return tuple(chain.from_iterable(map(cfg._chunk_tokens, chunks)))

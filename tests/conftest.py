@@ -180,18 +180,18 @@ def oracle_abbrev_expander(abbrev_map):
 # `any()` over the negator window and a per-row `np.linalg.norm`
 
 
-def oracle_liwc_features(ts, lex):
+def oracle_liwc_features(tokens, lex):
     """Word count followed by percent-of-tokens scores per category."""
     import numpy as np
 
-    n = len(ts.tokens)
+    n = len(tokens)
     counts = np.bincount(
-        [i for tok in ts.tokens for i in lex._hits(tok)], minlength=len(lex.categories)
+        [i for tok in tokens for i in lex._hits(tok)], minlength=len(lex.categories)
     )
     return np.concatenate(([float(n)], 100.0 * counts / max(1, n)))
 
 
-def oracle_emotion_features(ts, lex):
+def oracle_emotion_features(tokens, lex):
     """Raw per-emotion token counts in EMOTIONS order."""
     import numpy as np
 
@@ -199,18 +199,17 @@ def oracle_emotion_features(ts, lex):
 
     counts = np.zeros(len(EMOTIONS))
     index = {e: i for i, e in enumerate(EMOTIONS)}
-    for tok in ts.tokens:
+    for tok in tokens:
         for emotion in lex.entries.get(tok, ()):
             counts[index[emotion]] += 1
     return counts
 
 
-def oracle_sentiment_scores(ts, lex):
-    """(neg, neu, pos) proportions; an empty or valence-free stream scores
+def oracle_sentiment_scores(toks, lex):
+    """(neg, neu, pos) proportions; an empty or valence-free text scores
     fully neutral."""
     import math
 
-    toks = ts.tokens
     pos_mass = neg_mass = 0.0
     neutral = 0
     for i, tok in enumerate(toks):
@@ -234,7 +233,7 @@ def oracle_sentiment_scores(ts, lex):
     return (neg_mass / denom, neutral / denom, pos_mass / denom)
 
 
-def oracle_transform_tfidf_corpus(v, streams):
+def oracle_transform_tfidf_corpus(v, corpus):
     """Count x idf per document, each row divided by its `np.linalg.norm`
     where that is positive."""
     import numpy as np
@@ -243,9 +242,9 @@ def oracle_transform_tfidf_corpus(v, streams):
     indptr = [0]
     indices = []
     rows_data = [np.empty(0)]
-    for ts in streams:
+    for tokens in corpus:
         counts = {}
-        for tok in ts.tokens:
+        for tok in tokens:
             j = v.vocabulary.get(tok)
             if j is not None:
                 counts[j] = counts.get(j, 0) + 1
@@ -274,6 +273,19 @@ def oracle_rbf_kernel(A, B, gamma):
     )
     np.maximum(sq, 0.0, out=sq)
     return np.exp(-gamma * sq)
+
+
+def two_buffer_rbf_kernel(A, B, gamma):
+    """The RBF kernel with its squared distances in a second len(A) x len(B)
+    buffer beside the products."""
+    import numpy as np
+
+    cross = 2.0 * A @ B.T
+    sq = np.add(np.sum(A * A, axis=1)[:, None], np.sum(B * B, axis=1)[None, :])
+    np.subtract(sq, cross, out=sq)
+    np.maximum(sq, 0.0, out=sq)
+    np.multiply(sq, -gamma, out=sq)
+    return np.exp(sq, out=sq)
 
 
 def reference_simplified_smo(K, targets, C, tol, max_passes, rng):

@@ -47,7 +47,7 @@ from ssd.models import (
     train_svm_rbf,
 )
 from ssd.pipeline import ExperimentConfig
-from ssd.preprocess import TokenStream, default_config, normalize
+from ssd.preprocess import default_config, normalize
 from ssd.util import derive_rng
 
 from conftest import (
@@ -80,7 +80,7 @@ def announce(capsys):
 
 
 def ts(*tokens):
-    return TokenStream(tuple(tokens), 0)
+    return tuple(tokens)
 
 
 # ---------------------------------------------------------------------------
@@ -531,7 +531,7 @@ def test_criterion_10_profiler_oracle(announce, tmp_path, capsys):
         pcfg = default_config()
         by_label = {}
         for item in ds.items:
-            tokens = tuple(normalize(item.comment.text, pcfg))
+            tokens = normalize(item.comment.text, pcfg)
             by_label.setdefault(item.label.support, []).append(tokens)
 
         oracles = {

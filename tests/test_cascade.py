@@ -462,9 +462,9 @@ def test_cascade_bytes_equal_under_the_alternation_passes(tmp_path, monkeypatch)
     monkeypatch.setattr(preprocess, "_abbrev_expander",
                         traced(oracle_abbrev_expander, abbrev_calls))
     oracle = canonical_json(cascade_to_envelope(train_cascade(ds, cfg)))
-    # emoji are replaced once per text, abbreviations expanded once per
-    # distinct whitespace chunk of the replaced texts
-    assert len(emoji_calls) == len(ds)
-    chunks = {c for t in ds.texts() for c in bundled._replace_emoji(t).split()}
-    assert sorted(abbrev_calls) == sorted(chunks)
+    # both passes run once per distinct raw whitespace chunk, abbreviations
+    # over what the emoji pass made of it
+    chunks = {c for t in ds.texts() for c in t.split()}
+    assert sorted(emoji_calls) == sorted(chunks)
+    assert abbrev_calls == list(map(oracle_emoji_replacer(bundled.emoji_map), emoji_calls))
     assert ours == oracle

@@ -28,11 +28,10 @@ from ssd.features import (
     transform_tfidf,
     transform_tfidf_corpus,
 )
-from ssd.preprocess import TokenStream
 
 
 def ts(*tokens):
-    return TokenStream(tuple(tokens), original_length_chars=0)
+    return tuple(tokens)
 
 
 class TestCategoryLexicon:
@@ -106,12 +105,12 @@ class TestCategoryLexicon:
         def fresh(stream):
             # every token matched against every pattern, nothing remembered
             counts = np.zeros(len(lex.categories))
-            for tok in stream.tokens:
+            for tok in stream:
                 for i, (_, pats) in enumerate(lex.categories):
                     if any(tok == p or (p.endswith("*") and tok.startswith(p[:-1]))
                            for p in pats):
                         counts[i] += 1
-            n = len(stream.tokens)
+            n = len(stream)
             return np.concatenate(([float(n)], 100.0 * counts / max(1, n)))
 
         stream = ts(*tokens)

@@ -39,6 +39,7 @@ from conftest import (
     oracle_forest_state,
     oracle_gini,
     oracle_rbf_kernel,
+    two_buffer_rbf_kernel,
     reference_simplified_smo,
     smo_dual_objective,
     smo_gap,
@@ -422,6 +423,29 @@ class TestSmo:
         for left, right in ((A, B), (A, A), (B, B)):
             assert M._rbf_kernel(left, right, gamma).tobytes() == \
                 oracle_rbf_kernel(left, right, gamma).tobytes()
+
+    @pytest.mark.parametrize("n, m, d", [(1, 7, 3), (9, 1, 3), (1, 1, 5), (40, 25, 30),
+                                         (200, 120, 60), (64, 64, 1)])
+    @pytest.mark.parametrize("gamma", [1e-3, 0.1, 4.0])
+    def test_kernel_bytes_equal_the_two_buffer_formula(self, n, m, d, gamma):
+        rng = derive_rng(n * m * d, "kernel")
+        A, B = rng.normal(size=(n, d)), rng.normal(size=(m, d))
+        for left, right in ((A, B), (B, A), (A, A)):
+            assert M._rbf_kernel(left, right, gamma).tobytes() == \
+                two_buffer_rbf_kernel(left, right, gamma).tobytes()
+
+    def test_kernel_is_built_in_one_buffer(self):
+        import tracemalloc
+
+        rng = derive_rng(0, "kernel")
+        A, B = rng.normal(size=(600, 20)), rng.normal(size=(500, 20))
+        tracemalloc.start()
+        try:
+            K = M._rbf_kernel(A, B, 0.1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.3 * K.nbytes
 
 
 class TestTrees:

@@ -12,6 +12,7 @@ from ssd.preprocess import (
     PREPROCESS_SWITCHES,
     PreprocessConfig,
     _abbrev_expander,
+    _emoji_replacer,
     default_config,
     load_stopwords,
     load_tsv_map,
@@ -27,80 +28,72 @@ def cfg():
 
 
 def test_full_pipeline_on_short_comment(cfg):
-    ts = normalize("Stay STRONG!! 💪", cfg)
-    assert ts.tokens == ("stai", "strong", "flex", "bicep")
-    assert ts.original_length_chars == len("Stay STRONG!! 💪")
+    assert normalize("Stay STRONG!! 💪", cfg) == ("stai", "strong", "flex", "bicep")
 
 
 def test_emoji_becomes_phrase_tokens(cfg):
-    assert "red" in normalize("I ❤️ this", cfg).tokens
-    assert "heart" in normalize("I ❤️ this", cfg).tokens
+    assert "red" in normalize("I ❤️ this", cfg)
+    assert "heart" in normalize("I ❤️ this", cfg)
     # unpadded emoji still splits off its neighbors
-    assert normalize("nice💪job", cfg).tokens[:1] == ("nice",)
+    assert normalize("nice💪job", cfg)[:1] == ("nice",)
 
 
 def test_abbreviations_expand_only_as_whole_words(cfg):
-    assert "you" in normalize("u r great", cfg).tokens or (
+    assert "you" in normalize("u r great", cfg) or (
         # "are"/"you" are stop words; expansion happened if the raw letters vanished
-        "u" not in normalize("u r great", cfg).tokens
+        "u" not in normalize("u r great", cfg)
     )
     # inside words nothing expands
-    assert "grumpy" in normalize("grumpy", default_config(stem=False)).tokens
+    assert "grumpy" in normalize("grumpy", default_config(stem=False))
 
 
 def test_abbreviation_not_expanded_after_apostrophe():
     plain = default_config(stem=False, remove_stopwords=False)
-    tokens = normalize("you're ok", plain).tokens
+    tokens = normalize("you're ok", plain)
     assert "you're" in tokens
 
 
 def test_stopwords_removed_by_default(cfg):
-    ts = normalize("this is the best video", cfg)
-    assert "the" not in ts.tokens
-    assert "is" not in ts.tokens
+    tokens = normalize("this is the best video", cfg)
+    assert "the" not in tokens
+    assert "is" not in tokens
 
 
 def test_keep_stopwords_flag():
     keep = default_config(remove_stopwords=False, stem=False)
-    assert "the" in normalize("the best video", keep).tokens
+    assert "the" in normalize("the best video", keep)
 
 
 def test_no_stem_flag():
     plain = default_config(stem=False)
-    assert "running" in normalize("running fast", plain).tokens
+    assert "running" in normalize("running fast", plain)
 
 
 def test_punctuation_stripped_by_default(cfg):
-    ts = normalize("wow!!! nice... really???", cfg)
-    assert all(t.isalnum() or "'" in t for t in ts.tokens)
+    tokens = normalize("wow!!! nice... really???", cfg)
+    assert all(t.isalnum() or "'" in t for t in tokens)
 
 
 def test_strip_punct_false_keeps_punctuation_runs():
     punct = default_config(strip_punct=False, stem=False, remove_stopwords=False)
-    tokens = normalize("wow!!! ok", punct).tokens
+    tokens = normalize("wow!!! ok", punct)
     assert "!!!" in tokens
     assert "wow" in tokens
 
 
 def test_apostrophe_words_stay_single_tokens():
     plain = default_config(stem=False, remove_stopwords=False)
-    assert "don't" in normalize("don't stop", plain).tokens
+    assert "don't" in normalize("don't stop", plain)
 
 
 def test_empty_and_whitespace_only(cfg):
-    assert normalize("", cfg).tokens == ()
-    assert normalize("   \n\t ", cfg).tokens == ()
+    assert normalize("", cfg) == ()
+    assert normalize("   \n\t ", cfg) == ()
 
 
 def test_order_lowercase_before_stopword_check(cfg):
     # "THE" must be removed, which requires lowercasing first
-    assert "the" not in normalize("THE END", cfg).tokens
-
-
-def test_token_stream_iterates_and_sizes(cfg):
-    ts = normalize("strong hope", cfg)
-    assert len(ts) == 2
-    assert list(ts) == list(ts.tokens)
+    assert "the" not in normalize("THE END", cfg)
 
 
 def test_bundled_stopword_list_shape():
@@ -132,13 +125,13 @@ def test_normalize_total_and_deterministic(text):
     cfg = default_config()
     first = normalize(text, cfg)
     second = normalize(text, cfg)
-    assert first.tokens == second.tokens
-    assert all(isinstance(t, str) and t for t in first.tokens)
+    assert isinstance(first, tuple) and first == second
+    assert all(isinstance(t, str) and t for t in first)
 
 
 @given(st.text(alphabet=st.characters(whitelist_categories=("Lu", "Ll")), max_size=40))
 def test_tokens_are_lowercase(text):
-    for token in normalize(text, default_config()).tokens:
+    for token in normalize(text, default_config()):
         assert token == token.lower()
 
 
@@ -153,7 +146,6 @@ def _oracle_normalize(text, cfg):
 
     from ssd.porter import stem
 
-    original_len = len(text)
     if cfg.emoji_map:
         pattern = "|".join(
             re.escape(s) for s in sorted(cfg.emoji_map, key=len, reverse=True))
@@ -184,7 +176,7 @@ def _oracle_normalize(text, cfg):
         tokens = [t for t in tokens if t not in cfg.stopwords]
     if cfg.stem:
         tokens = [stem.__wrapped__(t) for t in tokens]
-    return tuple(tokens), original_len
+    return tuple(tokens)
 
 
 _BUNDLED = default_config()
@@ -203,16 +195,15 @@ _PIECES = st.one_of(
 @settings(max_examples=150, deadline=None)
 @given(st.lists(_PIECES, max_size=14).map("".join), st.sampled_from(_CONFIGS))
 def test_normalize_matches_per_call_pattern_oracle(text, cfg):
-    ts = normalize(text, cfg)
-    assert (ts.tokens, ts.original_length_chars) == _oracle_normalize(text, cfg)
+    assert normalize(text, cfg) == _oracle_normalize(text, cfg)
 
 
 def test_patterns_follow_the_config_maps():
     cfg = PreprocessConfig(emoji_map={"☺": "smile"}, abbrev_map={"GR8": "great"},
                            remove_stopwords=False, stem=False)
-    assert normalize("gr8☺", cfg).tokens == ("great", "smile")
+    assert normalize("gr8☺", cfg) == ("great", "smile")
     bare = PreprocessConfig(remove_stopwords=False, stem=False)
-    assert normalize("gr8☺", bare).tokens == ("gr8",)
+    assert normalize("gr8☺", bare) == ("gr8",)
 
 
 # ---------------------------------------------------------------------------
@@ -258,15 +249,14 @@ def test_passes_match_the_alternation_oracle_on_generated_maps(data):
     text = data.draw(st.lists(pieces, max_size=12).map("".join))
     cfg = PreprocessConfig(emoji_map=emoji, abbrev_map=abbrev, remove_stopwords=False)
     replaced = oracle_emoji_replacer(emoji)(text)
-    assert cfg._replace_emoji(text) == replaced
+    assert _emoji_replacer(emoji)(text) == replaced
     try:
         expanded = oracle_abbrev_expander(abbrev)(replaced)
         oracle = _oracle_normalize(text, cfg)
     except KeyError:
         return  # the alternation matched a run whose .lower() is no key
     assert _abbrev_expander(abbrev)(replaced) == expanded
-    ts = normalize(text, cfg)
-    assert (ts.tokens, ts.original_length_chars) == oracle
+    assert normalize(text, cfg) == oracle
 
 
 def test_run_lookup_rests_on_unicode_case_facts():
@@ -298,7 +288,7 @@ def test_case_folded_run_that_is_no_key_stays_unexpanded():
     # lowercases to a key
     cfg = default_config(remove_stopwords=False, stem=False)
     assert _abbrev_expander(cfg.abbrev_map)("plſ help İdk") == "plſ help İdk"
-    assert normalize("PLS help", cfg).tokens == ("please", "help")
+    assert normalize("PLS help", cfg) == ("please", "help")
     with pytest.raises(KeyError):
         oracle_abbrev_expander(cfg.abbrev_map)("plſ help")
 
@@ -318,7 +308,9 @@ def test_empty_symbol_rejected(field):
 # the chunk memo: each whitespace chunk worked once per config, with the
 # tokens of the whole-text pipeline
 
-# keys that hold whitespace make abbreviations expand over the whole text
+# symbols and keys that hold whitespace make the emoji and abbreviation
+# passes run over the whole text
+_WHITESPACE_SYMBOLS = (": )", "<\t3")
 _WHITESPACE_KEYS = ("o k", "g\tn", "b\xa0r")
 _SPACES = (" ", "  ", "\t", "\n", "\x1c", "\xa0", "　", " \t ")
 _STOPWORDS = frozenset({"you", "are", "ok", "the", "with"})
@@ -327,7 +319,8 @@ _STOPWORDS = frozenset({"you", "are", "ok", "the", "with"})
 @settings(max_examples=300, deadline=None)
 @given(st.data())
 def test_chunk_memo_matches_the_whole_text_oracle(data):
-    emoji = data.draw(_maps(_EMOJI_SYMBOLS))
+    emoji = data.draw(st.one_of(_maps(_EMOJI_SYMBOLS),
+                                _maps(_EMOJI_SYMBOLS + _WHITESPACE_SYMBOLS)))
     abbrev = data.draw(st.one_of(_maps(_RUN_KEYS), _maps(_ABBREV_KEYS),
                                  _maps(_ABBREV_KEYS + _WHITESPACE_KEYS)))
     switches = data.draw(st.fixed_dictionaries(
@@ -338,7 +331,7 @@ def test_chunk_memo_matches_the_whole_text_oracle(data):
     # texts; capital sigmas next to whitespace test lowercasing's context
     words = data.draw(st.lists(st.one_of(
         _cases(sorted(emoji) + sorted(abbrev) or ["ok"]),
-        _cases(_EMOJI_SYMBOLS + _ABBREV_KEYS + _WHITESPACE_KEYS),
+        _cases(_EMOJI_SYMBOLS + _WHITESPACE_SYMBOLS + _ABBREV_KEYS + _WHITESPACE_KEYS),
         _SEPARATORS,
         st.sampled_from(["ΑΣ", "Σ", "ΣΑ", "Running", "THE", "caresses", "!!", "..."]),
         st.text(alphabet="uUrRoOkK'’ _/:)<3❤️Σ!", max_size=5),
@@ -352,8 +345,7 @@ def test_chunk_memo_matches_the_whole_text_oracle(data):
         return  # the alternation matched a run whose .lower() is no key
     assert cfg._chunk_tokens.cache_info().currsize == 0
     for _ in range(2):  # a cold memo, then a warm one
-        got = [normalize(t, cfg) for t in texts]
-        assert [(ts.tokens, ts.original_length_chars) for ts in got] == oracle
+        assert [normalize(t, cfg) for t in texts] == oracle
 
 
 def test_whitespace_is_its_own_case_and_bounds_case_context():
@@ -399,16 +391,20 @@ def test_chunk_memo_is_bounded():
     assert cfg._chunk_tokens.cache_info().currsize == info.maxsize
 
 
-@pytest.mark.parametrize("abbrev", [{"u": "you"}, {"o k": "okay"}])
-def test_config_is_freed_by_refcount_alone(abbrev):
+@pytest.mark.parametrize("maps", [
+    {"abbrev_map": {"u": "you"}},
+    {"abbrev_map": {"o k": "okay"}},
+    {"emoji_map": {": )": "smile", "💪": "flex"}},
+])
+def test_config_is_freed_by_refcount_alone(maps):
     import gc
     import weakref
 
     enabled = gc.isenabled()
     gc.disable()
     try:
-        cfg = default_config(abbrev_map=abbrev)
-        normalize("Stay STRONG u o k 💪 😂", cfg)
+        cfg = default_config(**maps)
+        assert normalize("Stay STRONG u o k 💪 😂 : )", cfg)
         ref = weakref.ref(cfg)
         del cfg
         assert ref() is None
