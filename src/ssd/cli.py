@@ -212,16 +212,22 @@ def _read_texts_csv(path: str) -> tuple[list[str], list[str]]:
             header = next(reader)
         except StopIteration:
             raise DataError(f"{path}: empty input file") from None
+        except csv.Error as exc:
+            raise DataError(f"{path}:1: malformed CSV: {exc}") from None
         if tuple(header) != CSV_HEADER and tuple(header[:2]) != ("id", "text"):
             raise DataError(
                 f"{path}: expected a header starting with id,text"
             )
         ids, texts = [], []
-        for row_number, row in enumerate(reader, start=2):
-            if len(row) < 2:
-                raise DataError(f"{path}:{row_number}: expected id,text columns")
-            ids.append(row[0])
-            texts.append(row[1])
+        try:
+            for row_number, row in enumerate(reader, start=2):
+                if len(row) < 2:
+                    raise DataError(f"{path}:{row_number}: expected id,text columns")
+                ids.append(row[0])
+                texts.append(row[1])
+        except csv.Error as exc:
+            # each row read before the bad one added an id
+            raise DataError(f"{path}:{len(ids) + 2}: malformed CSV: {exc}") from None
     return ids, texts
 
 

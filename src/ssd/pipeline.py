@@ -600,12 +600,15 @@ def pipeline_to_envelope(p: FittedPipeline) -> dict:
 def _tfidf_from_jsonable(t: dict | None) -> TfidfVectorizer | None:
     if t is None:
         return None
-    return TfidfVectorizer(
-        {k: int(v) for k, v in t["vocabulary"].items()},
-        np.array(t["idf"], dtype=float),
-        int(t["min_df"]),
-        int(t["max_features"]),
-    )
+    vocabulary = {k: int(v) for k, v in t["vocabulary"].items()}
+    # an index outside 0..V-1, or an idf of another length, would fail or
+    # silently misweight at the first predict
+    if sorted(vocabulary.values()) != list(range(len(vocabulary))):
+        raise ValueError("vocabulary indexes are not 0..V-1, each once")
+    idf = np.array(t["idf"], dtype=float)
+    if idf.shape != (len(vocabulary),):
+        raise ValueError(f"idf of shape {idf.shape} for {len(vocabulary)} words")
+    return TfidfVectorizer(vocabulary, idf, int(t["min_df"]), int(t["max_features"]))
 
 
 def _scaler_from_jsonable(raw: dict | None) -> Scaler | None:

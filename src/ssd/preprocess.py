@@ -6,17 +6,17 @@ lowercasing, tokenization on non-alphanumeric boundaries (apostrophes stay
 word-internal), stop-word removal, Porter stemming. Every stage can be
 switched off through PreprocessConfig.
 
-No stage looks across whitespace unless an emoji symbol or abbreviation
-key holds some, so each whitespace chunk of a raw text is worked once per
-config, through a bounded memo, and a text's tokens are its chunks' tokens
-in order.
+No stage looks across whitespace, since an emoji symbol holds none and an
+abbreviation key is a whole run (PreprocessConfig rejects any other map),
+so each whitespace chunk of a raw text is worked once per config, through
+a bounded memo, and a text's tokens are its chunks' tokens in order.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from functools import lru_cache, partial
+from functools import lru_cache
 from importlib import resources
 from itertools import chain
 from typing import Callable
@@ -108,47 +108,43 @@ def _abbrev_expander(abbrev_map: dict[str, str]) -> Callable[[str], str]:
     """Replace each abbreviation that stands as a whole run: bounded on both
     sides by characters other than word characters and apostrophes (so "r"
     never fires inside "you're"), matched through `.lower()`. A run whose
-    `.lower()` is no key stays as it is."""
+    `.lower()` is no key stays as it is. Every key is a whole run itself
+    (PreprocessConfig checks it), so a dict lookup per run gives what the
+    case-insensitive alternation of the keys gives (tests/test_preprocess.py
+    checks both the outputs and the Unicode case facts this rests on)."""
     if not abbrev_map:
         return _unchanged
-    folded = {k.lower(): v for k, v in abbrev_map.items()}
-    get = folded.get
-    if all(_RUN_RE.fullmatch(k) for k in folded):
-        # keys that are whole runs themselves (every bundled key): a dict
-        # lookup per run, which gives what the case-insensitive alternation
-        # below gives on such keys (tests/test_preprocess.py checks both the
-        # outputs and the Unicode case facts this rests on)
-        def expand(text: str) -> str:
-            parts = _RUN_RE.split(text)
-            runs = parts[1::2]
-            expanded = list(map(get, map(str.lower, runs), runs))
-            if expanded == runs:
-                return text
-            parts[1::2] = expanded
-            return "".join(parts)
+    get = {k.lower(): v for k, v in abbrev_map.items()}.get
 
-        return expand
-    alts = "|".join(re.escape(k) for k in sorted(folded, key=len, reverse=True))
-    pattern = re.compile(rf"(?<![\w'’])(?:{alts})(?![\w'’])", re.IGNORECASE)
-    return partial(pattern.sub, lambda m: get(m.group(0).lower(), m.group(0)))
+    def expand(text: str) -> str:
+        parts = _RUN_RE.split(text)
+        runs = parts[1::2]
+        expanded = list(map(get, map(str.lower, runs), runs))
+        if expanded == runs:
+            return text
+        parts[1::2] = expanded
+        return "".join(parts)
+
+    return expand
 
 
 def _chunk_tokenizer(
+    replace: Callable[[str], str],
     expand: Callable[[str], str],
     lowercase: bool,
     strip_punct: bool,
     stopwords: frozenset[str] | None,
     stem: bool,
 ) -> Callable[[str], tuple[str, ...]]:
-    """One whitespace chunk's tokens, from `expand` (the emoji and
-    abbreviation passes, or `_unchanged`) through stemming, memoized with a
-    bound, since a corpus repeats its chunks. An emoji phrase or expansion
-    may hold whitespace, so its pieces are split again. The stemmer is
-    looked up at call time, so it runs once per memo miss."""
+    """One whitespace chunk's tokens, from the emoji pass `replace` and the
+    abbreviation pass `expand` through stemming, memoized with a bound,
+    since a corpus repeats its chunks. An emoji phrase or expansion may hold
+    whitespace, so its pieces are split again. The stemmer is looked up at
+    call time, so it runs once per memo miss."""
 
     @lru_cache(maxsize=_CHUNK_MEMO)
     def tokens(chunk: str) -> tuple[str, ...]:
-        chunk = expand(chunk)
+        chunk = expand(replace(chunk))
         if lowercase:
             chunk = chunk.lower()
         if strip_punct:
@@ -177,9 +173,10 @@ def _chunk_tokenizer(
 class PreprocessConfig:
     """Switches and resources for normalize(); immutable once built. The
     emoji and abbreviation patterns and the chunk memo are built once, at
-    construction. Emoji, then abbreviations, are replaced per whitespace
-    chunk, inside the memo, unless a symbol of either map holds whitespace:
-    then both are replaced over the whole text, before the split."""
+    construction, and emoji, then abbreviations, are replaced per
+    whitespace chunk, inside the memo. So an emoji symbol must be non-empty
+    and hold no whitespace, and an abbreviation key's `.lower()` must be a
+    whole run; a map that breaks a rule is a ValueError."""
 
     lowercase: bool = True
     strip_punct: bool = True
@@ -188,8 +185,6 @@ class PreprocessConfig:
     emoji_map: dict[str, str] = field(default_factory=dict)
     abbrev_map: dict[str, str] = field(default_factory=dict)
     stopwords: frozenset[str] = frozenset()
-    # the whole-text emoji and abbreviation passes, or _unchanged
-    _expand_text: Callable[[str], str] = field(init=False, repr=False, compare=False)
     _chunk_tokens: Callable[[str], tuple[str, ...]] = field(
         init=False, repr=False, compare=False
     )
@@ -198,23 +193,17 @@ class PreprocessConfig:
         for name in ("emoji_map", "abbrev_map"):
             if "" in getattr(self, name):
                 raise ValueError(f"{name} has an empty symbol")
-        replace = _emoji_replacer(self.emoji_map)
-        abbrev = _abbrev_expander(self.abbrev_map)
-
-        def passes(text: str) -> str:
-            return abbrev(replace(text))
-
-        # inside the memo, both passes run once per distinct chunk rather
-        # than once per text; a symbol that holds whitespace matches only
-        # over the whole text
-        if any(c.isspace() for key in chain(self.emoji_map, self.abbrev_map) for c in key):
-            whole, per_chunk = passes, _unchanged
-        else:
-            whole, per_chunk = _unchanged, passes
-        object.__setattr__(self, "_expand_text", whole)
+        for symbol in self.emoji_map:
+            if any(c.isspace() for c in symbol):
+                raise ValueError(f"emoji_map symbol {symbol!r} holds whitespace")
+        for key in self.abbrev_map:
+            if not _RUN_RE.fullmatch(key.lower()):
+                raise ValueError(f"abbrev_map key {key!r} is not a whole run of "
+                                 "word characters and apostrophes")
         # the memo captures the settings, never the config: no reference cycle
         object.__setattr__(self, "_chunk_tokens", _chunk_tokenizer(
-            per_chunk, self.lowercase, self.strip_punct,
+            _emoji_replacer(self.emoji_map), _abbrev_expander(self.abbrev_map),
+            self.lowercase, self.strip_punct,
             self.stopwords if self.remove_stopwords else None, self.stem,
         ))
 
@@ -237,12 +226,10 @@ def default_config(**overrides) -> PreprocessConfig:
 def normalize(text: str, cfg: PreprocessConfig) -> tuple[str, ...]:
     """The tokens of one text, run through the full pipeline; empty input
     yields none. Each whitespace chunk of the raw text is worked through
-    the config's memo, emoji and abbreviations included, unless a symbol
-    holds whitespace: then those two passes run over the whole text first.
-    That gives the tokens of the whole-text pipeline, because no emoji
-    match, abbreviation run, key without whitespace, `_WORD_RE` token or
-    `strip_punct: false` piece spans whitespace, and `str.lower` looks
-    across no whitespace character (tests/test_preprocess.py checks the
-    Unicode facts over every code point)."""
-    chunks = cfg._expand_text(text).split()
-    return tuple(chain.from_iterable(map(cfg._chunk_tokens, chunks)))
+    the config's memo, emoji and abbreviations included. That gives the
+    tokens of the whole-text pipeline, because no emoji match, abbreviation
+    run, `_WORD_RE` token or `strip_punct: false` piece spans whitespace,
+    and `str.lower` looks across no whitespace character
+    (tests/test_preprocess.py checks the Unicode facts over every code
+    point)."""
+    return tuple(chain.from_iterable(map(cfg._chunk_tokens, text.split())))

@@ -269,6 +269,11 @@ class TestUnwritableOutputs:
         assert len(err.splitlines()) == 1
 
 
+def _reindex_a_word(env, index):
+    vocabulary = env["tfidf"]["vocabulary"]
+    vocabulary[min(vocabulary)] = index
+
+
 class TestTrainPredict:
     def test_round_trip(self, workdir, capsys):
         model_path = workdir["tmp"] / "model.json"
@@ -315,6 +320,18 @@ class TestTrainPredict:
         assert out.splitlines()[1].startswith("plain,")
         assert out.splitlines()[4].startswith("x1,")
 
+    def test_over_long_field_is_data_error(self, workdir, capsys):
+        model_path = workdir["tmp"] / "model.json"
+        main(["train", "--config", workdir["config"], "--out", str(model_path)])
+        input_path = workdir["tmp"] / "long.csv"
+        input_path.write_text("id,text\na,bless hope\nb," + "x" * 200_000 + "\n")
+        capsys.readouterr()
+        assert main(["predict", "--model", str(model_path),
+                     "--input", str(input_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {input_path}:3: malformed CSV: field larger")
+        assert len(err.splitlines()) == 1
+
     def test_predict_to_stdout(self, workdir, capsys):
         model_path = workdir["tmp"] / "model.json"
         main(["train", "--config", workdir["config"], "--out", str(model_path)])
@@ -352,7 +369,17 @@ class TestTrainPredict:
         (["tfidf"], lambda env: env.update(tfidf="x"), "'tfidf'"),
         (["liwc", "tfidf"], lambda env: env["lexicons"].update(category={}),
          "'lexicons.category'"),
-    ], ids=["tfidf-missing", "tfidf-mistyped", "category-empty"])
+        # unchecked, these failed with an IndexError at the first predict,
+        # labelled with three idf weights, or weighted a word by the last idf
+        (["tfidf"], lambda env: _reindex_a_word(env, 10**6), "'tfidf'"),
+        (["tfidf"], lambda env: env["tfidf"].update(idf=env["tfidf"]["idf"][:3]),
+         "'tfidf'"),
+        (["tfidf"], lambda env: _reindex_a_word(env, -1), "'tfidf'"),
+        # an abbreviation key that is no whole run
+        (["tfidf"], lambda env: env["preprocess"]["abbrev_map"].update({"w/": "with"}),
+         "'preprocess'"),
+    ], ids=["tfidf-missing", "tfidf-mistyped", "category-empty", "tfidf-index-large",
+            "tfidf-idf-short", "tfidf-index-negative", "preprocess-abbrev-w/"])
     def test_malformed_section_is_format_error(self, workdir, capsys,
                                                features, edit, section):
         cfg = json.loads(Path(workdir["config"]).read_text())
@@ -407,8 +434,10 @@ class TestTrainPredict:
         assert main(["train", "--config", workdir["config"],
                      "--out", str(model_path)]) == 0
         env = json.loads(model_path.read_text())
+        # and its idf, so that the tfidf section still agrees with itself
         vocabulary = env["tfidf"]["vocabulary"]
         del vocabulary[max(vocabulary, key=vocabulary.get)]
+        env["tfidf"]["idf"].pop()
         model_path.write_text(json.dumps(env))
         capsys.readouterr()
         assert main(["predict", "--model", str(model_path),
