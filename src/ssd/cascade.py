@@ -36,33 +36,20 @@ CASCADE_FORMAT = "ssd-cascade-v1"
 @dataclass(frozen=True)
 class CascadeModel:
     """Three fitted stages that share one lexicon set, one preprocess
-    config and one feature list. All three are checked once, at
-    construction: the stages' lexicons against the recorded fingerprints,
-    so prediction never re-hashes them, and each stage's preprocess config
-    and features against stage 1's, so one token tuple and one set of
-    lexicon rows per text serve every stage."""
+    config and one feature list, as construction checks, so one token
+    tuple and one set of lexicon rows per text serve every stage. A saved
+    cascade holds the three stage pipelines alone; each stage's lexicons
+    are checked against that stage's own fingerprint record when it loads."""
 
     stage1: FittedPipeline
     stage2: FittedPipeline
     stage3: FittedPipeline
-    lexicon_fingerprints: dict
 
     def __post_init__(self) -> None:
-        for i, stage in enumerate(self.stages(), start=1):
-            if stage.lexicon_fingerprints() != self.lexicon_fingerprints:
-                raise UsageError(
-                    f"stage {i} lexicons do not match the cascade's recorded "
-                    f"lexicon fingerprints"
-                )
-            if stage.preprocess != self.stage1.preprocess:
-                raise UsageError(
-                    f"stage {i} preprocess config differs from stage 1's"
-                )
-            if stage.features != self.stage1.features:
-                raise UsageError(
-                    f"stage {i} features {list(stage.features)} differ from "
-                    f"stage 1's {list(self.stage1.features)}"
-                )
+        for i, stage in enumerate(self.stages()[1:], start=2):
+            for section in ("lexicons", "preprocess", "features"):
+                if getattr(stage, section) != getattr(self.stage1, section):
+                    raise UsageError(f"stage {i} {section} section differs from stage 1's")
 
     def stages(self) -> tuple[FittedPipeline, FittedPipeline, FittedPipeline]:
         return (self.stage1, self.stage2, self.stage3)
@@ -103,7 +90,7 @@ def train_cascade(
             )
         except DataError as exc:
             raise DataError(f"cannot train stage {subtask}: {exc}") from None
-    return CascadeModel(*stages, lex.fingerprints())
+    return CascadeModel(*stages)
 
 
 @dataclass(frozen=True)
@@ -119,7 +106,8 @@ def cascade_predict_batch(
 ) -> list[CascadePrediction]:
     """Predict hierarchical labels for a batch, gating stages by upstream
     verdicts: a stage scores the rows whose previous verdict is its opener.
-    Probabilities are the chosen class's score at each reached stage;
+    Probabilities are the chosen class's score at each reached stage, which
+    is its row's maximum, since a label is always a most probable class;
     unreached stages report None. Each text is normalized and featurized
     once, and a stage is handed its rows of that batch."""
     first = m.stage1
@@ -132,9 +120,8 @@ def cascade_predict_batch(
         if not rows:
             break
         stage_labels, proba = predict_pipeline(stage, batch.take(rows))
-        column = {c: j for j, c in enumerate(stage.classes)}
-        for i, lab, pr in zip(rows, stage_labels, proba.tolist()):
-            reached[i].append((lab, pr[column[lab]]))
+        for i, lab, p in zip(rows, stage_labels, proba.max(axis=1).tolist()):
+            reached[i].append((lab, p))
     out = []
     for verdicts in reached:
         unreached = [(None, None)] * (len(SUBTASKS) - len(verdicts))
@@ -178,7 +165,6 @@ def predictions_csv(
 def cascade_to_envelope(m: CascadeModel) -> dict:
     return {
         "format": CASCADE_FORMAT,
-        "lexicon_fingerprints": dict(m.lexicon_fingerprints),
         "stages": {
             str(k): pipeline_to_envelope(stage)
             for k, stage in zip(SUBTASKS, m.stages())
@@ -188,16 +174,12 @@ def cascade_to_envelope(m: CascadeModel) -> dict:
 
 def cascade_from_envelope(env: dict) -> CascadeModel:
     check_envelope(env, CASCADE_FORMAT, "cascade")
-    fingerprints = read_section(
-        "lexicon_fingerprints", lambda: dict(env["lexicon_fingerprints"]), "cascade"
-    )
-    stages = [
+    return CascadeModel(*(
         pipeline_from_envelope(
             read_section(f"stages.{k}", lambda: env["stages"][str(k)], "cascade")
         )
         for k in SUBTASKS
-    ]
-    return CascadeModel(*stages, fingerprints)
+    ))
 
 
 def save_cascade(m: CascadeModel, path: str) -> None:

@@ -248,7 +248,7 @@ def _cmd_predict(args) -> int:
     # a plain field is written as it is
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(["id", "label", *(f"p_{c}" for c in pipeline.classes)])
+    writer.writerow(["id", "label", *(f"p_{c}" for c in pipeline.model.classes)])
     for cid, lab, row in zip(ids, labels, proba):
         writer.writerow([cid, lab, *(f"{v:.6f}" for v in row)])
     _write_or_print(out.getvalue(), args.out)

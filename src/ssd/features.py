@@ -97,6 +97,14 @@ class CategoryLexicon:
         return tuple(name for name, _ in self.categories)
 
 
+def _lexicon_word(word: str, where: str) -> str:
+    """`word`, which must be non-empty and lowercase, as a normalized token
+    it could match is; a FormatError at `where` (path:line) otherwise."""
+    if not word or word != word.lower():
+        raise FormatError(f"{where}: words must be non-empty lowercase")
+    return word
+
+
 def load_category_lexicon(path: str) -> CategoryLexicon:
     """Parse a dictionary file: %-delimited id<TAB>name header, then
     word<TAB>id... entries."""
@@ -133,9 +141,7 @@ def load_category_lexicon(path: str) -> CategoryLexicon:
         parts = line.split("\t")
         if len(parts) < 2:
             raise FormatError(f"{path}:{lineno + 1}: expected word<TAB>id...")
-        word = parts[0]
-        if not word or word != word.lower():
-            raise FormatError(f"{path}:{lineno + 1}: patterns must be non-empty lowercase")
+        word = _lexicon_word(parts[0], f"{path}:{lineno + 1}")
         if "*" in word[:-1]:
             raise FormatError(f"{path}:{lineno + 1}: '*' is only valid as a suffix")
         for cid in parts[1:]:
@@ -182,8 +188,7 @@ def load_emotion_lexicon(path: str) -> EmotionLexicon:
             if len(parts) != 3 or parts[2] not in ("0", "1"):
                 raise FormatError(f"{path}:{lineno}: expected word<TAB>emotion<TAB>0|1")
             word, emotion, flag = parts
-            if not word or word != word.lower():
-                raise FormatError(f"{path}:{lineno}: words must be non-empty lowercase")
+            _lexicon_word(word, f"{path}:{lineno}")
             if emotion not in EMOTIONS:
                 continue
             if flag == "1":
@@ -254,12 +259,15 @@ def load_valence_lexicon(
                 raise FormatError(f"{path}:{lineno}: bad valence {parts[1]!r}") from None
             if not abs(valence) <= 4:  # NaN fails this too
                 raise FormatError(f"{path}:{lineno}: valence {parts[1]!r} outside [-4, 4]")
-            entries[parts[0]] = valence
+            entries[_lexicon_word(parts[0], f"{path}:{lineno}")] = valence
 
     negators = DEFAULT_NEGATORS
     if negators_path:
         with open_input(negators_path, "negators") as fh:
-            negators = frozenset(w.strip() for w in fh if w.strip())
+            negators = frozenset(
+                _lexicon_word(w.strip(), f"{negators_path}:{lineno}")
+                for lineno, w in enumerate(fh, start=1) if w.strip()
+            )
 
     boosters = dict(DEFAULT_BOOSTERS)
     if boosters_path:
@@ -270,6 +278,7 @@ def load_valence_lexicon(
                 if not line:
                     continue
                 parts = line.split("\t")
+                _lexicon_word(parts[0], f"{boosters_path}:{lineno}")
                 if len(parts) == 1:
                     boosters[parts[0]] = DEFAULT_BOOSTER_INCREMENT
                 elif len(parts) == 2:

@@ -223,6 +223,16 @@ def _finite(value) -> bool:
     return True
 
 
+def _array(name: str, value, shape: tuple, kind: str = "f") -> np.ndarray:
+    """`value`, which must be an array of `shape` whose dtype is of numpy
+    kind `kind`, finite where that is "f"; a ValueError names it otherwise."""
+    if not (isinstance(value, np.ndarray) and value.shape == shape
+            and value.dtype.kind == kind and (kind != "f" or np.isfinite(value).all())):
+        what = {"f": "finite floats", "i": "integers", "b": "booleans"}[kind]
+        raise ValueError(f"{name} is not a {shape} array of {what}")
+    return value
+
+
 def _one_vs_rest(y, classes, negative: float, fit_binary):
     """One binary machine per class: `fit_binary(targets)` gets targets 1
     for the class and `negative` for the rest. A class absent from y gets
@@ -268,6 +278,12 @@ def _held_linear(state: dict) -> dict:
     of copying all of it on every call. Files keep W by value, so they do
     not change."""
     return {**state, "W": np.asfortranarray(state["W"])}
+
+
+def _check_linear(state: dict, n_classes: int, n_features: int) -> None:
+    _array("W", state["W"], (n_classes, n_features))
+    _array("b", state["b"], (n_classes,))
+    _array("present", state["present"], (n_classes,), "b")
 
 
 def _linear_scores(state: dict, X) -> np.ndarray:
@@ -620,6 +636,19 @@ def _svm_rbf_state(X, y, classes, spec: ModelSpec) -> dict:
     return {"machines": machines, "gamma": gamma, "present": present}
 
 
+def _check_svm_rbf(state: dict, n_classes: int, n_features: int) -> None:
+    _array("present", state["present"], (n_classes,), "b")
+    machines = state["machines"]
+    if not isinstance(machines, list) or len(machines) != n_classes:
+        raise ValueError(f"machines is not a list of {n_classes}")
+    for machine in filter(None, machines):
+        m = len(_array("alphas", machine["alphas"], (len(machine["alphas"]),)))
+        # a machine without support vectors saves its sv as an empty list
+        _array("sv", machine["sv"], (m, n_features) if m else (0,))
+    if not all(map(_is_number, [state["gamma"], *(mc["b"] for mc in filter(None, machines))])):
+        raise ValueError("gamma or a machine's b is not a number")
+
+
 def _svm_rbf_scores(state: dict, X: np.ndarray) -> np.ndarray:
     margins = np.zeros((X.shape[0], len(state["machines"])))
     for k, machine in enumerate(state["machines"]):
@@ -897,6 +926,22 @@ def _rf_state(X, y, classes, spec: ModelSpec) -> dict:
                          spec.hyper("bootstrap"), 2, None)
 
 
+def _check_forest(state: dict, n_classes: int, n_features: int) -> None:
+    if not isinstance(state["trees"], list) or not state["trees"]:
+        raise ValueError("trees is not a non-empty list")
+    for tree in state["trees"]:
+        n = len(tree["feature"])
+        feature, left, right = (_array(key, tree[key], (n,), "i")
+                                for key in ("feature", "left", "right"))
+        _array("threshold", tree["threshold"], (n,))
+        _array("proba", tree["proba"], (n, n_classes))
+        # an inner node's children come after it, so every walk reaches a leaf
+        node, inner = np.arange(n), feature >= 0
+        linked = (np.where(inner, (node < c) & (c < n), c == -1).all() for c in (left, right))
+        if not (n and all(linked) and (feature >= -1).all() and (feature < n_features).all()):
+            raise ValueError("a tree's nodes do not link to later nodes and columns")
+
+
 def _forest_scores(state: dict, X: np.ndarray) -> np.ndarray:
     """The mean of the trees' leaf distributions, summed in tree order.
     Every tree is walked at once: each (tree, row) pair steps down one level
@@ -928,6 +973,9 @@ class Family(NamedTuple):
     fit: Callable  # (X, y, classes, spec) -> the fitted state
     scores: Callable  # (state, X) -> class probabilities, one row per row of X
     dense: bool  # works on a dense array, which sparse input is densified to
+    # (state, n_classes, n_features) -> None, or a ValueError where a loaded
+    # state's arrays do not fit the model's classes and columns
+    check: Callable
     # state -> the same state as scoring holds it in memory, applied where a
     # state is fitted and where one is loaded; it adds no key
     held: Callable = lambda state: state
@@ -937,19 +985,20 @@ class Family(NamedTuple):
 FAMILIES = {
     "lr": Family({"C": (1.0, _POSITIVE), "max_iter": (1000, _AT_LEAST_ONE),
                   "tol": (_NEWTON_TOL, _NON_NEGATIVE)}, _lr_state, _linear_scores, dense=False,
-                 held=_held_linear),
+                 check=_check_linear, held=_held_linear),
     "svm_linear": Family({"lam": (1e-4, _POSITIVE), "max_iter": (1000, _AT_LEAST_ONE)},
-                         _svm_linear_state, _linear_scores, dense=False, held=_held_linear),
+                         _svm_linear_state, _linear_scores, dense=False,
+                         check=_check_linear, held=_held_linear),
     "svm_rbf": Family({"C": (1.0, _POSITIVE), "gamma": ("scale", _GAMMA),
                        "tol": (1e-3, _NON_NEGATIVE), "max_passes": (10, _AT_LEAST_ONE),
                        "densify_budget": _DENSIFY_BUDGET},
-                      _svm_rbf_state, _svm_rbf_scores, dense=True),
+                      _svm_rbf_state, _svm_rbf_scores, dense=True, check=_check_svm_rbf),
     "dt": Family({"max_depth": (None, _MAX_DEPTH), "min_samples_split": (2, _MIN_SPLIT),
                   "max_features": (None, _MAX_FEATURES), "densify_budget": _DENSIFY_BUDGET},
-                 _dt_state, _forest_scores, dense=True),
+                 _dt_state, _forest_scores, dense=True, check=_check_forest),
     "rf": Family({"n_trees": (100, _AT_LEAST_ONE), "bootstrap": (True, _BOOL),
                   "max_features": ("sqrt", _MAX_FEATURES), "densify_budget": _DENSIFY_BUDGET},
-                 _rf_state, _forest_scores, dense=True),
+                 _rf_state, _forest_scores, dense=True, check=_check_forest),
 }
 
 
@@ -1085,47 +1134,50 @@ def _from_jsonable(value):
 
 
 def model_to_envelope(m) -> dict:
+    """A model's saved form, its state as base64 of canonical JSON. A voter's
+    names its kind and holds its members, which its labels, priors and width
+    are worked out from at load."""
     if isinstance(m, VotingModel):
-        state = {"members": [model_to_envelope(member) for member in m.members]}
         name = next(name for name, kind in VOTERS.items() if kind == m.kind)
-        spec = {"family": name, "hyperparameters": {}, "seed": 0}
+        env = {"spec": {"family": name},
+               "state": {"members": [model_to_envelope(member) for member in m.members]}}
     else:
-        state = _to_jsonable(m.state)
-        spec = {
-            "family": m.spec.family,
-            "hyperparameters": _to_jsonable(m.spec.hyperparameters),
-            "seed": m.spec.seed,
-        }
-    blob = base64.b64encode(canonical_json(state).encode("utf-8")).decode("ascii")
-    return {
-        "format": MODEL_FORMAT,
-        "spec": spec,
-        "labels": list(m.classes),
-        "priors": [float(p) for p in m.priors],
-        "n_features": m.n_features,
-        "state": blob,
-    }
+        spec = {"family": m.spec.family, "seed": m.spec.seed,
+                "hyperparameters": _to_jsonable(m.spec.hyperparameters)}
+        env = {"spec": spec, "labels": list(m.classes), "priors": [float(p) for p in m.priors],
+               "n_features": m.n_features, "state": _to_jsonable(m.state)}
+    blob = base64.b64encode(canonical_json(env["state"]).encode("utf-8")).decode("ascii")
+    return {"format": MODEL_FORMAT, **env, "state": blob}
 
 
 def model_from_envelope(env: dict):
+    """The model a saved form holds: a voter as `make_voting` makes it from
+    its members, and a base model once its state fits its labels and width."""
     check_envelope(env, MODEL_FORMAT, "model")
     section = partial(read_section, kind="model")
     state = section("state", lambda: _from_jsonable(
         json.loads(base64.b64decode(env["state"]).decode("utf-8"))
     ))
     kind = section("spec", lambda: VOTERS.get(env["spec"]["family"]))
-    classes = section("labels", lambda: tuple(env["labels"]))
-    priors = section("priors", lambda: np.array(env["priors"], dtype=float))
     if kind is not None:
         members = section("state", lambda: state["members"])
-        return VotingModel(kind, tuple(map(model_from_envelope, members)),
-                           classes, priors)
+        return make_voting(kind, tuple(map(model_from_envelope, members)))
+    classes = section("labels", lambda: tuple(env["labels"]))
+    priors = section("priors", lambda: _array(
+        "priors", np.array(env["priors"], dtype=float), (len(classes),)))
     n_features = section("n_features", lambda: int(env["n_features"]))
     spec = section("spec", lambda: ModelSpec(
         env["spec"]["family"], env["spec"]["hyperparameters"], env["spec"]["seed"]
     ))
-    state = section("state", lambda: FAMILIES[spec.family].held(state))
-    return TrainedModel(spec, classes, priors, n_features, state)
+    family = FAMILIES[spec.family]
+
+    def checked_state():
+        family.check(state, len(classes), n_features)
+        if not _finite(state):
+            raise ValueError("the state holds a number that is not finite")
+        return family.held(state)
+
+    return TrainedModel(spec, classes, priors, n_features, section("state", checked_state))
 
 
 def save_model(m, path: str) -> None:

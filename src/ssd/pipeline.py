@@ -378,6 +378,9 @@ def matrix_for_family(fm: FeatureMatrix):
 
 @dataclass(frozen=True)
 class FittedPipeline:
+    """One fitted text-to-label pipeline, whose classes, the order of its
+    probability columns, are its model's `model.classes`."""
+
     subtask: int
     preprocess: PreprocessConfig
     features: tuple[str, ...]
@@ -386,10 +389,6 @@ class FittedPipeline:
     scaling: str
     scaler: Scaler | None
     model: object  # TrainedModel | VotingModel
-    classes: tuple[str, ...]
-
-    def lexicon_fingerprints(self) -> dict[str, str]:
-        return self.lexicons.fingerprints()
 
 
 @dataclass(frozen=True)
@@ -523,10 +522,7 @@ def fit_pipeline(
         cfg, models=(model_name,), ensemble_members=cfg.base_members()
     )
     model = fit_models(fm, labels, single_cfg, classes, fold_tag)[model_name]
-    return FittedPipeline(
-        cfg.subtask, pc, cfg.features, lex, tfidf, cfg.scaling, scaler, model,
-        classes,
-    )
+    return FittedPipeline(cfg.subtask, pc, cfg.features, lex, tfidf, cfg.scaling, scaler, model)
 
 
 def pipeline_matrix(
@@ -588,12 +584,11 @@ def pipeline_to_envelope(p: FittedPipeline) -> dict:
         "preprocess": _preprocess_to_jsonable(p.preprocess),
         "features": list(p.features),
         "lexicons": {row.key: row.to_json(lex) for _, row, lex in p.lexicons.present()},
-        "lexicon_fingerprints": p.lexicon_fingerprints(),
+        "lexicon_fingerprints": p.lexicons.fingerprints(),
         "tfidf": tfidf,
         "scaling": p.scaling,
         "scaler": scaler,
         "model": M.model_to_envelope(p.model),
-        "classes": list(p.classes),
     }
 
 
@@ -654,7 +649,6 @@ def pipeline_from_envelope(env: dict) -> FittedPipeline:
         section("scaling", lambda: _scaling(env["scaling"])),
         section("scaler", lambda: _scaler_from_jsonable(env["scaler"])),
         section("model", lambda: M.model_from_envelope(env["model"])),
-        section("classes", lambda: _names(env["classes"])),
     )
     _check_layout(p)
     return p

@@ -8,6 +8,7 @@ makes learned accuracy a property of the implementation, not of luck.
 
 from __future__ import annotations
 
+import base64
 import json
 
 import pytest
@@ -110,6 +111,14 @@ hate\t-2.7
 aw\t-2.0
 trash\t-2.1
 """
+
+
+def edit_model_state(model_env: dict, edit) -> None:
+    """Apply `edit` to the decoded state of a saved model's envelope and
+    encode it back, as a hand edit of the file would."""
+    state = json.loads(base64.b64decode(model_env["state"]))
+    edit(state)
+    model_env["state"] = base64.b64encode(json.dumps(state).encode("utf-8")).decode("ascii")
 
 
 @pytest.fixture

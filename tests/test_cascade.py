@@ -76,6 +76,26 @@ class TestGating:
         assert p.label.group is None
         assert p.p2 is not None and p.p3 is None
 
+    def test_each_probability_is_the_chosen_class_score(self, cascade_setup):
+        from ssd.corpus import SUBTASKS
+        from ssd.pipeline import predict_pipeline
+
+        model = cascade_setup["model"]
+        texts = make_support_corpus(60, seed=65, hierarchical=True).texts()
+        preds = cascade_predict_batch(model, texts)
+        reached = [0, 0, 0]
+        for k, stage in zip(SUBTASKS, model.stages()):
+            labels, proba = predict_pipeline(stage, texts)
+            for p, label, row in zip(preds, labels, proba.tolist()):
+                prob = (p.p1, p.p2, p.p3)[k - 1]
+                if p.label.stage(k) is None:
+                    assert prob is None
+                    continue
+                reached[k - 1] += 1
+                assert p.label.stage(k) == label
+                assert prob == row[stage.model.classes.index(label)]
+        assert all(reached)
+
     def test_group_reaches_stage_three(self, cascade_setup):
         text = ("bless hope strong community everyone nation "
                 "pride rainbow queer video")
@@ -253,15 +273,37 @@ class TestSerialization:
         path = tmp_path / "cascade.json"
         save_cascade(cascade_setup["model"], str(path))
         payload = json.loads(path.read_text())
-        key = next(iter(payload["lexicon_fingerprints"]), None)
-        if key is None:
-            # tfidf-only cascade: fabricate a mismatching record instead
-            payload["lexicon_fingerprints"] = {"category": "0" * 16}
-        else:
-            payload["lexicon_fingerprints"][key] = "0" * 16
+        # a tfidf-only stage records no fingerprints: fabricate a mismatching one
+        assert payload["stages"]["2"]["lexicon_fingerprints"] == {}
+        payload["stages"]["2"]["lexicon_fingerprints"] = {"category": "0" * 16}
         path.write_text(json.dumps(payload))
-        with pytest.raises(UsageError):
+        with pytest.raises(UsageError, match="fingerprints do not match"):
             load_cascade(str(path))
+
+    @pytest.mark.parametrize("edit", [
+        lambda env: None,
+        lambda env: env["stages"]["2"]["classes"].reverse(),
+        lambda env: env["stages"]["3"]["classes"].__setitem__(0, "Elsewhere"),
+        lambda env: env.update(lexicon_fingerprints={"category": "0" * 16}),
+    ], ids=["agreeing", "stage-classes-permuted", "stage-classes-foreign",
+            "cascade-fingerprints"])
+    def test_copies_in_older_files_are_not_read(self, cascade_setup, tmp_path, edit):
+        """A cascade file that also records the lexicons' fingerprints at
+        the top and each stage's classes, as older files do, predicts as
+        the stages' models do, whatever those copies say."""
+        model = cascade_setup["model"]
+        env = json.loads(json.dumps(cascade_to_envelope(model)))
+        assert set(env) == {"format", "stages"}
+        env["lexicon_fingerprints"] = {}
+        for k, stage in zip(("1", "2", "3"), model.stages()):
+            assert "classes" not in env["stages"][k]
+            env["stages"][k]["classes"] = list(stage.model.classes)
+        edit(env)
+        path = tmp_path / "cascade.json"
+        path.write_text(json.dumps(env))
+        texts = make_support_corpus(60, seed=63, hierarchical=True).texts()
+        assert cascade_predict_batch(load_cascade(str(path)), texts) == \
+            cascade_predict_batch(model, texts)
 
     def test_envelope_format_tag(self, cascade_setup):
         env = cascade_to_envelope(cascade_setup["model"])
@@ -276,10 +318,19 @@ class TestFingerprintsCheckedAtConstruction:
                           features=["liwc", "tfidf"],
                           lexicons={"category": lexicon_files["category"]})
         other = train_cascade(ds, cfg)
-        assert other.stage2.lexicon_fingerprints() != \
-            cascade_setup["model"].lexicon_fingerprints
-        with pytest.raises(UsageError, match="stage 2"):
+        assert other.stage2.lexicons != cascade_setup["model"].stage1.lexicons
+        with pytest.raises(UsageError, match="stage 2 lexicons"):
             dataclasses.replace(cascade_setup["model"], stage2=other.stage2)
+
+    def test_training_and_construction_hash_no_lexicons(self, cascade_setup, monkeypatch):
+        from ssd.cascade import CascadeModel
+        from ssd.pipeline import LexiconSet
+
+        calls = []
+        monkeypatch.setattr(LexiconSet, "fingerprints", lambda self: calls.append(self))
+        model = train_cascade(cascade_setup["ds"], cascade_setup["cfg"])
+        CascadeModel(*model.stages())
+        assert calls == []
 
     def test_prediction_hashes_no_lexicons(self, cascade_setup, monkeypatch,
                                            tmp_path):
@@ -307,7 +358,6 @@ class TestFingerprintsCheckedAtConstruction:
 class TestMalformedFile:
     @pytest.mark.parametrize("drop, section", [
         (lambda env: env["stages"].pop("3"), "stages.3"),
-        (lambda env: env.pop("lexicon_fingerprints"), "lexicon_fingerprints"),
         (lambda env: env.__setitem__("stages", []), "stages.1"),
     ])
     def test_missing_section_is_format_error(self, cascade_setup, tmp_path,
@@ -408,7 +458,7 @@ def test_shared_batch_equals_stages_fitted_one_by_one(tmp_path, lexicon_files):
     to one whose stages are each fitted on their own raw texts."""
     from ssd.cascade import CascadeModel
     from ssd.corpus import SUBTASKS, stage_view
-    from ssd.pipeline import fit_pipeline, load_lexicons
+    from ssd.pipeline import fit_pipeline
     from ssd.util import canonical_json
 
     ds = make_support_corpus(260, seed=13, hierarchical=True)
@@ -421,7 +471,7 @@ def test_shared_batch_equals_stages_fitted_one_by_one(tmp_path, lexicon_files):
         stages.append(fit_pipeline(view.texts(), view.labels(subtask),
                                    dataclasses.replace(cfg, subtask=subtask),
                                    fold_tag=("stage", subtask)))
-    one_by_one = CascadeModel(*stages, load_lexicons(cfg).fingerprints())
+    one_by_one = CascadeModel(*stages)
     assert canonical_json(cascade_to_envelope(train_cascade(ds, cfg))) == \
         canonical_json(cascade_to_envelope(one_by_one))
 

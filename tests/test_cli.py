@@ -12,7 +12,7 @@ from ssd.corpus import write_dataset
 from ssd.errors import DataError
 from ssd.ingest import API_KEY_ENV
 
-from conftest import make_support_corpus
+from conftest import edit_model_state, make_support_corpus
 
 
 @pytest.fixture
@@ -320,6 +320,24 @@ class TestTrainPredict:
         assert out.splitlines()[1].startswith("plain,")
         assert out.splitlines()[4].startswith("x1,")
 
+    def test_predict_header_names_the_models_labels(self, workdir, capsys):
+        from ssd.pipeline import load_pipeline
+
+        model_path = workdir["tmp"] / "model.json"
+        main(["train", "--config", workdir["config"], "--out", str(model_path)])
+        predict = ["predict", "--model", str(model_path), "--input", workdir["data"]]
+        capsys.readouterr()
+        assert main(predict) == 0
+        out = capsys.readouterr().out
+        labels = load_pipeline(str(model_path)).model.classes
+        assert out.splitlines()[0] == ",".join(["id", "label", *(f"p_{c}" for c in labels)])
+        # an older file's record of the classes, edited out of order, is not read
+        env = json.loads(model_path.read_text())
+        env["classes"] = list(reversed(labels))
+        model_path.write_text(json.dumps(env))
+        assert main(predict) == 0
+        assert capsys.readouterr().out == out
+
     def test_over_long_field_is_data_error(self, workdir, capsys):
         model_path = workdir["tmp"] / "model.json"
         main(["train", "--config", workdir["config"], "--out", str(model_path)])
@@ -378,8 +396,12 @@ class TestTrainPredict:
         # an abbreviation key that is no whole run
         (["tfidf"], lambda env: env["preprocess"]["abbrev_map"].update({"w/": "with"}),
          "'preprocess'"),
+        # unchecked, weights for fewer columns than the model's gave a raw ValueError
+        (["tfidf"], lambda env: edit_model_state(
+            env["model"], lambda s: [row.pop() for row in s["W"]["__array__"]]), "'state'"),
     ], ids=["tfidf-missing", "tfidf-mistyped", "category-empty", "tfidf-index-large",
-            "tfidf-idf-short", "tfidf-index-negative", "preprocess-abbrev-w/"])
+            "tfidf-idf-short", "tfidf-index-negative", "preprocess-abbrev-w/",
+            "model-W-narrow"])
     def test_malformed_section_is_format_error(self, workdir, capsys,
                                                features, edit, section):
         cfg = json.loads(Path(workdir["config"]).read_text())

@@ -223,6 +223,23 @@ class TestSentiment:
         val.write_text("edge\t-4\nother\t4.0\n")  # the bounds themselves load
         assert load_valence_lexicon(str(val)).entries == {"edge": -4.0, "other": 4.0}
 
+    @pytest.mark.parametrize("valence,negators,boosters,where", [
+        ("good\t2.0\n\t1.5\n", None, None, "v.tsv:2"),
+        # "Good" would leave "good" scoring neutral, and "NOT" "not bad" unnegated
+        ("good\t2.0\nGood\t2.0\n", None, None, "v.tsv:2"),
+        ("good\t2.0\n", "nope\nNOT\n", None, "n.txt:2"),
+        ("good\t2.0\n", None, "mega\t0.5\nVery\n", "b.tsv:2"),
+    ], ids=["empty-word", "uppercase-word", "uppercase-negator", "uppercase-booster"])
+    def test_word_no_token_can_match_names_its_line(
+            self, tmp_path, valence, negators, boosters, where):
+        paths = []
+        for name, body in (("v.tsv", valence), ("n.txt", negators), ("b.tsv", boosters)):
+            if body is not None:
+                (tmp_path / name).write_text(body)
+            paths.append(str(tmp_path / name) if body is not None else None)
+        with pytest.raises(FormatError, match=f"{where}: words must be non-empty lowercase"):
+            load_valence_lexicon(*paths)
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_increment_or_negation_factor_rejected(self, bad):
         with pytest.raises(DataError, match="'super'"):

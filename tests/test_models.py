@@ -2,6 +2,7 @@
 probability calibration shape, voting, and serialization."""
 
 import json
+import math
 import re
 import warnings
 
@@ -34,6 +35,7 @@ from ssd.models import (
 from ssd.util import canonical_json, derive_rng
 
 from conftest import (
+    edit_model_state,
     oracle_best_split,
     oracle_forest_proba,
     oracle_forest_state,
@@ -60,6 +62,11 @@ def blobs(n=60, seed=0, centers=((0.0, 0.0), (6.0, 6.0))):
 
 def accuracy(model, X, y):
     return float(np.mean(np.array(predict(model, X)) == np.array(y)))
+
+
+def _in_state(edit):
+    """An edit of a saved model's envelope that applies `edit` to its state."""
+    return lambda env: edit_model_state(env, edit)
 
 
 TRAINERS = {
@@ -1053,6 +1060,106 @@ class TestSerialization:
         env = model_to_envelope(M.TrainedModel(
             model.spec, model.classes, model.priors, model.n_features, state))
         with pytest.raises(FormatError, match="'state'"):
+            model_from_envelope(env)
+
+    @pytest.mark.parametrize("family,edit,section", [
+        # unchecked, each of these loaded and then, at the first prediction,
+        # looped forever, raised a raw IndexError, ValueError or TypeError,
+        # or broadcast class 0's bias to class 1
+        ("dt", _in_state(lambda s: s["trees"][0]["left"]["__array__"].__setitem__(0, 0)),
+         "state"),
+        ("dt", _in_state(lambda s: s["trees"][0]["feature"]["__array__"].__setitem__(0, 2)),
+         "state"),
+        ("rf", _in_state(lambda s: s["trees"][1]["right"]["__array__"].__setitem__(0, 10**6)),
+         "state"),
+        ("rf", _in_state(lambda s: s["trees"][0]["left"]["__array__"].__setitem__(-1, 0)),
+         "state"),
+        ("rf", _in_state(lambda s: [row.pop() for row in s["trees"][2]["proba"]["__array__"]]),
+         "state"),
+        ("lr", _in_state(lambda s: [row.pop() for row in s["W"]["__array__"]]), "state"),
+        ("lr", _in_state(lambda s: s["W"]["__array__"].append([0.0, 0.0])), "state"),
+        ("lr", _in_state(lambda s: s["present"]["__array__"].pop()), "state"),
+        ("lr", _in_state(lambda s: s["W"].update(dtype="str")), "state"),
+        ("svm_linear", _in_state(lambda s: s["b"]["__array__"].pop()), "state"),
+        ("svm_linear", _in_state(lambda s: s["W"]["__array__"][0].__setitem__(0, math.nan)),
+         "state"),
+        ("lr", _in_state(lambda s: s["loss_traces"][0].__setitem__(0, math.inf)), "state"),
+        ("svm_rbf", _in_state(lambda s: s["machines"].pop()), "state"),
+        ("svm_rbf", _in_state(lambda s: s["machines"][0]["sv"]["__array__"].pop()), "state"),
+        ("svm_rbf", _in_state(lambda s: s.update(gamma="scale")), "state"),
+        ("lr", lambda env: env["priors"].pop(), "priors"),
+    ], ids=["tree-left-to-root", "tree-feature-out-of-range", "tree-child-out-of-range",
+            "tree-leaf-linked", "tree-proba-narrow", "W-narrow", "W-extra-row",
+            "present-short", "W-string-dtype", "b-short", "W-nan", "loss-trace-inf",
+            "machines-short", "sv-short", "gamma-string", "priors-short"])
+    def test_state_that_does_not_fit_is_format_error_at_load(
+            self, tmp_path, family, edit, section):
+        """A loaded state is checked against its labels and width when the
+        file loads, so a prediction never meets one that does not fit."""
+        X, y = blobs(n=24, seed=26)
+        extra = {"n_trees": 3} if family == "rf" else {}
+        path = tmp_path / "m.json"
+        save_model(TRAINERS[family](X, y, make_spec(family, seed=1, **extra)), str(path))
+        env = json.loads(path.read_text())
+        edit(env)
+        path.write_text(json.dumps(env))
+        with pytest.raises(FormatError, match=f"'{section}'") as info:
+            load_model(str(path))
+        assert info.value.exit_code == 2
+
+    def test_rbf_machine_without_support_vectors_loads(self):
+        X, y = blobs(n=24, seed=27)
+        model = train_svm_rbf(X, y, make_spec("svm_rbf"))
+        machines = list(model.state["machines"])
+        machines[0] = {**machines[0], "alphas": np.empty(0), "sv": X[:0]}
+        empty = M.TrainedModel(model.spec, model.classes, model.priors, model.n_features,
+                               {**model.state, "machines": machines})
+        again = model_from_envelope(json.loads(json.dumps(model_to_envelope(empty))))
+        assert again.state["machines"][0]["sv"].shape == (0,)
+        assert predict_proba(again, X).tobytes() == predict_proba(empty, X).tobytes()
+
+    def test_voter_file_names_its_kind_and_holds_its_members_alone(self):
+        X, y = blobs(n=24, seed=28)
+        vm = make_voting("hard", [train_lr(X, y, make_spec("lr")),
+                                  train_dt(X, y, make_spec("dt"))])
+        env = model_to_envelope(vm)
+        assert set(env) == {"format", "spec", "state"}
+        assert env["spec"] == {"family": "hard_vote"}
+
+    @pytest.mark.parametrize("kind", ["soft", "hard"])
+    @pytest.mark.parametrize("edit", [
+        lambda env: None,
+        lambda env: env["labels"].reverse(),
+        lambda env: env["labels"].__setitem__(0, "z"),
+        lambda env: env["labels"].pop(),
+        lambda env: env.update(priors=[0.9, 0.1]),
+        lambda env: env.update(n_features=7),
+    ], ids=["agreeing", "labels-permuted", "labels-foreign", "labels-cut", "priors",
+            "n_features"])
+    def test_voter_records_of_older_files_are_not_read(self, kind, edit):
+        """A voter file that also records the voter's labels, priors, width
+        and placeholder settings, as older files do, loads as the voter its
+        members make, whatever those records say."""
+        X, y = blobs(n=24, seed=29)
+        vm = make_voting(kind, [train_lr(X, y, make_spec("lr")),
+                                train_rf(X, y, make_spec("rf", seed=1, n_trees=3))])
+        env = model_to_envelope(vm)
+        env.update(labels=list(vm.classes), priors=[float(p) for p in vm.priors],
+                   n_features=vm.n_features)
+        env["spec"].update(hyperparameters={}, seed=0)
+        edit(env)
+        again = model_from_envelope(json.loads(json.dumps(env)))
+        assert again.classes == vm.classes
+        assert again.priors.tobytes() == vm.priors.tobytes()
+        assert predict_proba(again, X).tobytes() == predict_proba(vm, X).tobytes()
+        assert predict(again, X) == predict(vm, X)
+
+    def test_voter_members_with_other_class_sets_are_rejected(self):
+        X, y = blobs(n=24, seed=30)
+        env = model_to_envelope(make_voting("soft", [train_lr(X, y, make_spec("lr")),
+                                                     train_dt(X, y, make_spec("dt"))]))
+        edit_model_state(env, lambda s: s["members"][1]["labels"].__setitem__(0, "z"))
+        with pytest.raises(UsageError, match="disagree on the class set"):
             model_from_envelope(env)
 
     def test_spec_validation(self):

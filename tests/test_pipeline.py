@@ -34,7 +34,7 @@ from ssd.pipeline import (
     text_batch,
 )
 
-from conftest import make_support_corpus
+from conftest import edit_model_state, make_support_corpus
 
 
 def _config(tmp_path, models):
@@ -209,11 +209,17 @@ def _drop_last_word(env):
     env["tfidf"]["idf"].pop()
 
 
+def _widen_model(env):
+    # and its weights, so that the model still agrees with itself
+    env["model"]["n_features"] += 1
+    edit_model_state(env["model"], lambda state: [
+        row.append(0.0) for row in state["W"]["__array__"]])
+
+
 @pytest.mark.parametrize("model,edit,named", [
     ("soft_vote", _drop_last_word, "model"),
     ("soft_vote", lambda env: env["features"].remove("liwc"), "model"),
-    ("lr", lambda env: env["model"].update(n_features=env["model"]["n_features"] + 1),
-     "model"),
+    ("lr", _widen_model, "model"),
     ("lr", lambda env: env["scaler"]["mean"].pop(), "scaler"),
     ("lr", lambda env: env["scaler"]["std"].append(1.0), "scaler"),
     # unchecked, an edit to "none" silently dropped the scaling at predict
@@ -238,6 +244,32 @@ def test_sections_edited_out_of_agreement_fail_at_load(
     path.write_text(json.dumps(env))
     with pytest.raises(UsageError, match=f"saved pipeline {named} has"):
         load_pipeline(str(path))
+
+
+@pytest.mark.parametrize("model", ["lr", "hard_vote"])
+@pytest.mark.parametrize("edit", [
+    lambda classes: classes,
+    lambda classes: classes[::-1],
+    lambda classes: ["Elsewhere", *classes[1:]],
+    lambda classes: classes[:1],
+], ids=["agreeing", "permuted", "foreign", "cut"])
+def test_classes_of_older_files_are_not_read(tmp_path, corpus, model, edit):
+    """A pipeline file that also records its classes, as older files do,
+    labels and scores as its model does, whatever that record says."""
+    texts, labels, unseen = corpus
+    members = ["lr", "dt"] if model.endswith("vote") else []
+    p = fit_pipeline(texts, labels, _config(tmp_path, [model] + members))
+    path = tmp_path / "model.json"
+    save_pipeline(p, str(path))
+    env = json.loads(path.read_text())
+    assert "classes" not in env
+    env["classes"] = edit(list(p.model.classes))
+    path.write_text(json.dumps(env))
+    again = load_pipeline(str(path))
+    want_labels, want_proba = predict_pipeline(p, unseen)
+    got_labels, got_proba = predict_pipeline(again, unseen)
+    assert got_labels == want_labels
+    assert got_proba.tobytes() == want_proba.tobytes()
 
 
 def test_unknown_saved_scaling_is_a_format_error(tmp_path, corpus):
